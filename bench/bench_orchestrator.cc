@@ -1,14 +1,18 @@
 // google-benchmark microbenchmarks for the orchestration layer itself (§8.4
 // "orchestration also introduces overhead"): end-to-end latency of one
-// orchestrated query per strategy, and scoring-round cost vs. model count.
+// orchestrated query per strategy, scoring-round cost vs. model count, and
+// the exact scan under every generation start (the synthetic models'
+// knowledge-base lookup) so that kernel is tracked on its own.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "llmms/common/rng.h"
 #include "llmms/core/mab.h"
 #include "llmms/core/oua.h"
 #include "llmms/core/scoring.h"
 #include "llmms/core/single.h"
+#include "llmms/vectordb/flat_index.h"
 
 namespace {
 
@@ -30,6 +34,53 @@ void BM_OuaQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OuaQuery);
+
+// One KnowledgeBase::Lookup in the shape every SyntheticModel start pays:
+// the paper-scale 300 questions x 384-d HashEmbedder rows behind an
+// embedding cache, prompts cycled so every embed after the first pass is a
+// cache hit and the time is the exact scan.
+void BM_KnowledgeLookup(benchmark::State& state) {
+  static auto* knowledge = [] {
+    auto embedder = std::make_shared<embedding::EmbeddingCache>(
+        std::make_shared<embedding::HashEmbedder>(), /*capacity=*/4096);
+    auto* kb = new llm::KnowledgeBase(embedder);
+    if (!kb->AddAll(eval::GenerateDataset(eval::DatasetOptions{})).ok()) {
+      std::abort();
+    }
+    return kb;
+  }();
+  const auto& items = knowledge->items();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        knowledge->Lookup(items[i++ % items.size()].question));
+  }
+}
+BENCHMARK(BM_KnowledgeLookup);
+
+// Raw FlatIndex cosine top-10 over N random 64-d rows.
+void BM_FlatSearch(benchmark::State& state) {
+  constexpr size_t kDim = 64;
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(7);
+  auto random_vector = [&rng] {
+    vectordb::Vector v(kDim);
+    for (auto& x : v) x = static_cast<float>(rng.Normal());
+    return v;
+  };
+  vectordb::FlatIndex index(kDim, vectordb::DistanceMetric::kCosine);
+  for (size_t i = 0; i < n; ++i) {
+    if (!index.Add(random_vector()).ok()) std::abort();
+  }
+  std::vector<vectordb::Vector> queries;
+  for (int q = 0; q < 64; ++q) queries.push_back(random_vector());
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.Search(queries[i++ % queries.size()], 10));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_FlatSearch)->Arg(1000)->Arg(100000);
 
 void BM_MabQuery(benchmark::State& state) {
   auto& world = World();

@@ -11,10 +11,9 @@
 // Then, from another terminal:
 //   curl -s localhost:8080/api/health
 //   curl -s localhost:8080/api/models
-//   curl -s -X POST localhost:8080/api/query \
-//     -d '{"session":"s1","query":"<a question>","algorithm":"oua"}'
-//   curl -sN -X POST 'localhost:8080/api/query?stream=1' \
-//     -d '{"session":"s1","query":"<a question>"}'       # SSE stream
+//   Q='{"session":"s1","query":"<a question>","algorithm":"oua"}'
+//   curl -s -X POST localhost:8080/api/query -d "$Q"
+//   curl -sN -X POST 'localhost:8080/api/query?stream=1' -d "$Q"  # SSE
 //
 // The binary prints a few sample questions the synthetic models can answer.
 

@@ -6,6 +6,7 @@
 #include "llmms/vectordb/distance.h"
 #include "llmms/vectordb/flat_index.h"
 #include "llmms/vectordb/hnsw_index.h"
+#include "llmms/vectordb/scan.h"
 
 namespace llmms::vectordb {
 
@@ -30,18 +31,16 @@ std::unique_ptr<VectorIndex> Collection::MakeIndex() const {
 
 Status Collection::TrainQuantizerLocked() {
   // Collect the live vectors in slot order so the code index's slot
-  // assignment is deterministic for a given insertion history.
-  std::vector<std::pair<SlotId, const Vector*>> live;
+  // assignment is deterministic for a given insertion history. They come
+  // from the records, not GetVector, whose pointee may be per-thread
+  // scratch that the next call overwrites.
+  std::vector<SlotId> live;
   live.reserve(id_to_slot_.size());
-  for (const auto& [id, slot] : id_to_slot_) {
-    const Vector* v = index_->GetVector(slot);
-    if (v != nullptr) live.emplace_back(slot, v);
-  }
-  std::sort(live.begin(), live.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [id, slot] : id_to_slot_) live.push_back(slot);
+  std::sort(live.begin(), live.end());
   std::vector<Vector> sample;
   sample.reserve(live.size());
-  for (const auto& [slot, v] : live) sample.push_back(*v);
+  for (SlotId slot : live) sample.push_back(slot_to_record_.at(slot).vector);
 
   ScalarQuantizer quantizer;
   LLMMS_RETURN_NOT_OK(quantizer.Train(sample));
@@ -49,10 +48,10 @@ Status Collection::TrainQuantizerLocked() {
       std::make_unique<QuantizedFlatIndex>(quantizer, options_.metric);
   std::unordered_map<SlotId, SlotId> slot_to_qslot;
   std::unordered_map<SlotId, SlotId> qslot_to_slot;
-  for (const auto& [slot, v] : live) {
-    LLMMS_ASSIGN_OR_RETURN(SlotId qslot, qindex->Add(*v));
-    slot_to_qslot[slot] = qslot;
-    qslot_to_slot[qslot] = slot;
+  for (size_t i = 0; i < live.size(); ++i) {
+    LLMMS_ASSIGN_OR_RETURN(SlotId qslot, qindex->Add(sample[i]));
+    slot_to_qslot[live[i]] = qslot;
+    qslot_to_slot[qslot] = live[i];
   }
   qindex_ = std::move(qindex);
   slot_to_qslot_ = std::move(slot_to_qslot);
@@ -168,10 +167,7 @@ StatusOr<std::vector<IndexHit>> Collection::CandidatesLocked(
     if (v == nullptr) continue;
     hits.push_back(IndexHit{it->second, Distance(options_.metric, query, *v)});
   }
-  std::sort(hits.begin(), hits.end(), [](const IndexHit& a, const IndexHit& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.slot < b.slot;
-  });
+  std::sort(hits.begin(), hits.end(), BetterHit);
   if (hits.size() > fetch) hits.resize(fetch);
   return hits;
 }

@@ -365,8 +365,7 @@ StatusOr<std::unique_ptr<VectorDatabase>> VectorDatabase::Load(
     counters.snapshot_load_failures.fetch_add(1, std::memory_order_relaxed);
     return Status::IOError("cannot open for read: " + path);
   }
-  const std::string contents = std::move(*contents_or);
-  SnapshotReader in(contents);
+  SnapshotReader in(*contents_or);
 
   // Any parse failure from here on counts as a failed load.
   struct FailureCounter {

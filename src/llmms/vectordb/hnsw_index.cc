@@ -78,7 +78,7 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const Vector& query,
 }
 
 std::vector<SlotId> HnswIndex::SelectNeighbors(
-    const Vector& query, std::vector<Candidate> candidates, size_t m) const {
+    std::vector<Candidate> candidates, size_t m) const {
   // Heuristic from the HNSW paper: keep a candidate only if it is closer to
   // the query than to every already-selected neighbor. This preserves edge
   // diversity, which is what gives the graph its navigability.
@@ -155,8 +155,7 @@ StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
   for (int l = std::min(level, max_level_); l >= 0; --l) {
     auto candidates = SearchLayer(vector, current, options_.ef_construction, l);
     if (!candidates.empty()) current = candidates.front().slot;
-    const auto neighbors =
-        SelectNeighbors(vector, candidates, options_.M);
+    const auto neighbors = SelectNeighbors(candidates, options_.M);
     auto& my_links = nodes_[slot].neighbors[static_cast<size_t>(l)];
     my_links = neighbors;
     // Add reverse edges, shrinking neighbor lists that overflow.
@@ -172,7 +171,7 @@ StatusOr<SlotId> HnswIndex::Add(const Vector& vector) {
                                              vectors_[s]),
                                     s});
         }
-        links = SelectNeighbors(vectors_[nbr], std::move(cands), cap);
+        links = SelectNeighbors(std::move(cands), cap);
       }
     }
   }

@@ -78,9 +78,9 @@ class HnswIndex final : public VectorIndex {
   std::vector<Candidate> SearchLayer(const Vector& query, SlotId entry,
                                      size_t ef, int level) const;
 
-  // Select-neighbors heuristic (keeps diverse edges).
-  std::vector<SlotId> SelectNeighbors(const Vector& query,
-                                      std::vector<Candidate> candidates,
+  // Select-neighbors heuristic (keeps diverse edges). Each candidate's
+  // distance is already its distance to the node being linked.
+  std::vector<SlotId> SelectNeighbors(std::vector<Candidate> candidates,
                                       size_t m) const;
 
   size_t MaxNeighbors(int level) const {

@@ -52,8 +52,10 @@ class VectorIndex {
   virtual size_t dimension() const = 0;
   virtual DistanceMetric metric() const = 0;
 
-  // Access to the stored vector for a slot (needed for persistence and for
-  // re-ranking); returns nullptr for removed/unknown slots.
+  // Access to the stored vector for a slot (needed for re-ranking); returns
+  // nullptr for removed/unknown slots. FlatIndex and QuantizedFlatIndex
+  // return per-thread scratch that the calling thread's next GetVector on
+  // an index of the same kind overwrites: use the vector at once or copy it.
   virtual const Vector* GetVector(SlotId slot) const = 0;
 };
 

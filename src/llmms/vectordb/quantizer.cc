@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "llmms/vectordb/distance.h"
+#include "llmms/vectordb/scan.h"
 
 namespace llmms::vectordb {
 
@@ -111,37 +111,8 @@ Status QuantizedFlatIndex::Remove(SlotId slot) {
 
 namespace {
 
-// "Better hit" under the index tie order (distance asc, slot asc). Used as
-// the `less` of a max-heap so the worst kept hit sits on top.
-inline bool BetterHit(const IndexHit& a, const IndexHit& b) {
-  if (a.distance != b.distance) return a.distance < b.distance;
-  return a.slot < b.slot;
-}
-
-// dot(w, codes) with eight independent accumulators: a single float
-// accumulator serializes the scan on FMA latency (strict FP ordering also
-// blocks auto-vectorization of the reduction), and this loop is the whole
-// cost of the candidate stage at 1M vectors.
-inline float DotCodes(const float* w, const uint8_t* c, size_t dim) {
-  float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-  float a4 = 0.0f, a5 = 0.0f, a6 = 0.0f, a7 = 0.0f;
-  size_t d = 0;
-  for (; d + 8 <= dim; d += 8) {
-    a0 += w[d] * static_cast<float>(c[d]);
-    a1 += w[d + 1] * static_cast<float>(c[d + 1]);
-    a2 += w[d + 2] * static_cast<float>(c[d + 2]);
-    a3 += w[d + 3] * static_cast<float>(c[d + 3]);
-    a4 += w[d + 4] * static_cast<float>(c[d + 4]);
-    a5 += w[d + 5] * static_cast<float>(c[d + 5]);
-    a6 += w[d + 6] * static_cast<float>(c[d + 6]);
-    a7 += w[d + 7] * static_cast<float>(c[d + 7]);
-  }
-  float acc = ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7));
-  for (; d < dim; ++d) acc += w[d] * static_cast<float>(c[d]);
-  return acc;
-}
-
-// L2 variant: sum of (w_d + s_d * c_d) * c_d, same accumulator structure.
+// L2 variant of Dot8 (scan.h): sum of (w_d + s_d * c_d) * c_d, with the
+// same independent-accumulator structure.
 inline float PolyCodes(const float* w, const float* s, const uint8_t* c,
                        size_t dim) {
   float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
@@ -174,9 +145,8 @@ StatusOr<std::vector<IndexHit>> QuantizedFlatIndex::Search(const Vector& query,
   const size_t dim = dimension();
   const size_t slots = removed_.size();
   const size_t limit = std::min(k, live_count_);
-  std::vector<IndexHit> heap;
-  if (limit == 0) return heap;
-  heap.reserve(limit + 1);
+  if (limit == 0) return std::vector<IndexHit>{};
+  TopK top(limit);
 
   // With decode(c)_d = min_d + c_d * step_d every metric reduces to a
   // constant plus a per-dimension polynomial in the raw code, so the scan
@@ -206,18 +176,6 @@ StatusOr<std::vector<IndexHit>> QuantizedFlatIndex::Search(const Vector& query,
   }
   const double query_norm = std::sqrt(query_norm2);
 
-  auto push = [&](SlotId slot, double distance) {
-    const IndexHit hit{slot, distance};
-    if (heap.size() < limit) {
-      heap.push_back(hit);
-      std::push_heap(heap.begin(), heap.end(), BetterHit);
-    } else if (BetterHit(hit, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), BetterHit);
-      heap.back() = hit;
-      std::push_heap(heap.begin(), heap.end(), BetterHit);
-    }
-  };
-
   const uint8_t* codes = codes_.data();
   switch (metric_) {
     case DistanceMetric::kL2: {
@@ -226,7 +184,7 @@ StatusOr<std::vector<IndexHit>> QuantizedFlatIndex::Search(const Vector& query,
       for (size_t slot = 0; slot < slots; ++slot) {
         if (removed_[slot]) continue;
         const float acc = PolyCodes(wp, sp, codes + slot * dim, dim);
-        push(static_cast<SlotId>(slot), constant + acc);
+        top.Push(static_cast<SlotId>(slot), constant + acc);
       }
       break;
     }
@@ -234,8 +192,8 @@ StatusOr<std::vector<IndexHit>> QuantizedFlatIndex::Search(const Vector& query,
       const float* wp = w.data();
       for (size_t slot = 0; slot < slots; ++slot) {
         if (removed_[slot]) continue;
-        const float acc = DotCodes(wp, codes + slot * dim, dim);
-        push(static_cast<SlotId>(slot), -(constant + acc));
+        const float acc = Dot8(wp, codes + slot * dim, dim);
+        top.Push(static_cast<SlotId>(slot), -(constant + acc));
       }
       break;
     }
@@ -245,18 +203,17 @@ StatusOr<std::vector<IndexHit>> QuantizedFlatIndex::Search(const Vector& query,
           query_norm > 0.0 ? 1.0 / query_norm : 0.0;
       for (size_t slot = 0; slot < slots; ++slot) {
         if (removed_[slot]) continue;
-        const float acc = DotCodes(wp, codes + slot * dim, dim);
+        const float acc = Dot8(wp, codes + slot * dim, dim);
         const double distance =
             1.0 - (constant + acc) * inv_query_norm *
                       static_cast<double>(inv_norms_[slot]);
-        push(static_cast<SlotId>(slot), distance);
+        top.Push(static_cast<SlotId>(slot), distance);
       }
       break;
     }
   }
 
-  std::sort(heap.begin(), heap.end(), BetterHit);
-  return heap;
+  return top.Take();
 }
 
 const Vector* QuantizedFlatIndex::GetVector(SlotId slot) const {

@@ -25,6 +25,10 @@ namespace {
 // tokens each, text "<tag><index>", done on the last. The produced text is
 // accumulated so tests can assert partial output byte-for-byte.
 struct Scripted {
+  Scripted() = default;
+  Scripted(std::string tag_in, size_t chunks)
+      : tag(std::move(tag_in)), chunks_total(chunks) {}
+
   std::string tag;
   size_t chunks_total = 1;
   size_t tokens_per_chunk = 8;
@@ -305,7 +309,8 @@ TEST(BatchSchedulerTest, PropertySweepNoStarvationAndTokenConservation) {
       std::vector<std::string> expected_text(streams);
       size_t total_chunks = 0;
       for (size_t i = 0; i < streams; ++i) {
-        scripts[i].tag = "s" + std::to_string(i) + "-";
+        scripts[i].tag =
+            std::string("s").append(std::to_string(i)).append("-");
         scripts[i].chunks_total = 1 + rng() % 6;
         total_chunks += scripts[i].chunks_total;
         for (size_t c = 0; c < scripts[i].chunks_total; ++c) {

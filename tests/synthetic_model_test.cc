@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "llmms/core/scoring.h"
+#include "llmms/embedding/hash_embedder.h"
+#include "llmms/eval/qa_dataset.h"
+#include "llmms/rag/prompt_builder.h"
+#include "llmms/vectordb/distance.h"
 #include "testutil.h"
 
 namespace llmms::llm {
@@ -204,6 +208,71 @@ TEST_F(SyntheticModelTest, VerbosityIncreasesLength) {
     verbose_tokens += v->num_tokens;
   }
   EXPECT_GT(verbose_tokens, terse_tokens);
+}
+
+// KnowledgeBase::Lookup scans a float index (cached norms, reordered sums);
+// pin that it resolves every prompt of the paper-scale dataset to the item a
+// double-precision Distance() argmin picks — bare, inside conversation
+// history, and inside RAG context, the three prompt shapes the engine sends.
+TEST(KnowledgeBaseTest, LookupMatchesDistanceReferenceOnPaperDataset) {
+  auto embedder = std::make_shared<embedding::HashEmbedder>();
+  const auto dataset = eval::GenerateDataset(eval::DatasetOptions{});
+  ASSERT_EQ(dataset.size(), 300u);
+  KnowledgeBase knowledge(embedder);
+  ASSERT_TRUE(knowledge.AddAll(dataset).ok());
+  std::vector<vectordb::Vector> rows;
+  for (const auto& item : dataset) {
+    rows.push_back(embedder->Embed(item.question));
+  }
+
+  auto reference = [&](const std::string& prompt) -> const QaItem* {
+    const auto query = embedder->Embed(prompt);
+    size_t best = 0;
+    double best_distance = 2.0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const double d =
+          vectordb::Distance(vectordb::DistanceMetric::kCosine, query, rows[i]);
+      if (d < best_distance) {
+        best_distance = d;
+        best = i;
+      }
+    }
+    if (1.0 - best_distance < 0.15) return nullptr;
+    return &knowledge.items()[best];
+  };
+
+  const rag::PromptBuilder builder;
+  const size_t n = dataset.size();
+  size_t resolved = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const auto& item = dataset[i];
+    // Three earlier turns of a session, as Session::ContextText renders them.
+    std::string history;
+    for (size_t back = 3; back >= 1; --back) {
+      const auto& earlier = dataset[(i + n - back) % n];
+      if (!history.empty()) history += "\n";
+      history += "user: " + earlier.question + "\nassistant: " + earlier.golden;
+    }
+    // Retrieved context: the item's own answer among two others.
+    std::vector<rag::RetrievedChunk> context(3);
+    context[0].text = dataset[(i + 1) % n].golden;
+    context[1].text = item.golden;
+    context[2].text = dataset[(i + 7) % n].golden;
+
+    const std::string prompts[] = {
+        item.question,
+        builder.Build(item.question, {}, history),
+        builder.Build(item.question, context, history),
+    };
+    for (const auto& prompt : prompts) {
+      const QaItem* expected = reference(prompt);
+      EXPECT_EQ(knowledge.Lookup(prompt), expected)
+          << "item " << item.id << " prompt: " << prompt;
+      resolved += expected != nullptr ? 1 : 0;
+    }
+  }
+  // The pin is only meaningful if the prompts actually resolve.
+  EXPECT_GT(resolved, 2 * n);
 }
 
 TEST_F(SyntheticModelTest, StopReasonStringMapping) {

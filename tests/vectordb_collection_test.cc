@@ -110,9 +110,10 @@ TEST(CollectionTest, HnswBackedCollectionWorks) {
   Collection c("test", SmallOptions(IndexKind::kHnsw));
   for (int i = 0; i < 50; ++i) {
     const float angle = static_cast<float>(i) * 0.1f;
-    ASSERT_TRUE(c.Upsert(MakeRecord("v" + std::to_string(i),
-                                    {std::cos(angle), std::sin(angle), 0, 0}))
-                    .ok());
+    const std::string id = std::string("v").append(std::to_string(i));
+    ASSERT_TRUE(
+        c.Upsert(MakeRecord(id, {std::cos(angle), std::sin(angle), 0, 0}))
+            .ok());
   }
   auto hits = c.Query({1, 0, 0, 0}, 3);
   ASSERT_TRUE(hits.ok());

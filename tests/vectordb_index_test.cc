@@ -203,13 +203,139 @@ TEST_P(HnswRecallTest, RecallAtTenAboveNinetyPercent) {
   EXPECT_GE(recall, 0.9) << "dim=" << params.dim << " n=" << params.n;
 }
 
+const RecallParams kRecallSweep[] = {
+    {8, 200, DistanceMetric::kCosine},
+    {16, 500, DistanceMetric::kCosine},
+    {32, 1000, DistanceMetric::kCosine},
+    {16, 500, DistanceMetric::kL2},
+    {16, 500, DistanceMetric::kInnerProduct},
+};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, HnswRecallTest,
+                         ::testing::ValuesIn(kRecallSweep));
+
+// FlatIndex's float scan (cached row norms, 8-lane dot products, bounded
+// heap) against a brute-force Distance() reference in double, over the
+// same sweep: same slots in the same order, distances within 1e-5, exact
+// 1.0 for cosine against zero rows and zero queries, duplicate rows tied
+// by ascending slot, removed slots never returned, and k = 0 / k > size()
+// behaving like the reference.
+class FlatKernelTest : public ::testing::TestWithParam<RecallParams> {};
+
+std::vector<IndexHit> ReferenceSearch(const std::vector<Vector>& rows,
+                                      const std::vector<bool>& removed,
+                                      DistanceMetric metric,
+                                      const Vector& query, size_t k) {
+  std::vector<IndexHit> hits;
+  for (size_t slot = 0; slot < rows.size(); ++slot) {
+    if (removed[slot]) continue;
+    hits.push_back(IndexHit{static_cast<SlotId>(slot),
+                            Distance(metric, query, rows[slot])});
+  }
+  std::sort(hits.begin(), hits.end(), [](const IndexHit& a, const IndexHit& b) {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return a.slot < b.slot;
+  });
+  if (hits.size() > k) hits.resize(k);
+  return hits;
+}
+
+TEST_P(FlatKernelTest, MatchesDistanceReference) {
+  const auto params = GetParam();
+  const size_t dim = params.dim;
+  Rng rng(29);
+  FlatIndex index(dim, params.metric);
+  std::vector<Vector> rows;
+  auto add = [&](const Vector& v) {
+    auto slot = index.Add(v);
+    ASSERT_TRUE(slot.ok());
+    EXPECT_EQ(*slot, rows.size());
+    rows.push_back(v);
+  };
+  for (size_t i = 0; i < params.n; ++i) {
+    // Varied norms, so the cached per-row norm is what cosine divides by.
+    auto v = RandomUnitVector(&rng, dim);
+    const float scale = static_cast<float>(rng.Uniform(0.25, 4.0));
+    for (auto& x : v) x *= scale;
+    add(v);
+  }
+  const SlotId originals[] = {0, 2, 4, 6, 8};
+  std::vector<SlotId> duplicates;
+  for (SlotId s : originals) {
+    duplicates.push_back(static_cast<SlotId>(rows.size()));
+    add(Vector(rows[s]));
+  }
+  const SlotId first_zero = static_cast<SlotId>(rows.size());
+  add(Vector(dim, 0.0f));
+  add(Vector(dim, 0.0f));
+  std::vector<bool> removed(rows.size(), false);
+  size_t removed_count = 0;
+  for (SlotId s = 3; s < params.n; s += 7) {
+    ASSERT_TRUE(index.Remove(s).ok());
+    removed[s] = true;
+    ++removed_count;
+  }
+  ASSERT_EQ(index.size(), rows.size() - removed_count);
+
+  auto expect_reference = [&](const Vector& query, size_t k) {
+    auto hits = index.Search(query, k);
+    ASSERT_TRUE(hits.ok());
+    const auto expected =
+        ReferenceSearch(rows, removed, params.metric, query, k);
+    ASSERT_EQ(hits->size(), expected.size()) << "k=" << k;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ((*hits)[i].slot, expected[i].slot) << "rank " << i;
+      EXPECT_NEAR((*hits)[i].distance, expected[i].distance, 1e-5)
+          << "rank " << i;
+      EXPECT_FALSE(removed[(*hits)[i].slot]) << "removed slot returned";
+    }
+  };
+
+  for (int q = 0; q < 30; ++q) {
+    expect_reference(RandomUnitVector(&rng, dim), 10);
+  }
+  const Vector probe = RandomUnitVector(&rng, dim);
+  expect_reference(probe, 0);
+  expect_reference(probe, index.size() + 5);
+
+  // Full ranking: every live slot exactly once, each duplicate right after
+  // its original, zero rows at cosine distance exactly 1.0.
+  auto all = index.Search(probe, index.size() + 5);
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->size(), index.size());
+  std::vector<size_t> rank(rows.size(), all->size());
+  for (size_t i = 0; i < all->size(); ++i) rank[(*all)[i].slot] = i;
+  for (size_t i = 0; i < duplicates.size(); ++i) {
+    EXPECT_EQ(rank[duplicates[i]], rank[originals[i]] + 1)
+        << "duplicate of slot " << originals[i];
+  }
+  if (params.metric == DistanceMetric::kCosine) {
+    for (SlotId s = first_zero; s < rows.size(); ++s) {
+      EXPECT_EQ((*all)[rank[s]].distance, 1.0);
+    }
+    // A zero query is equally far (1.0) from every row, so the k lowest
+    // live slots win the tie.
+    auto zero = index.Search(Vector(dim, 0.0f), 10);
+    ASSERT_TRUE(zero.ok());
+    const auto expected =
+        ReferenceSearch(rows, removed, params.metric, Vector(dim, 0.0f), 10);
+    ASSERT_EQ(zero->size(), expected.size());
+    for (size_t i = 0; i < zero->size(); ++i) {
+      EXPECT_EQ((*zero)[i].distance, 1.0);
+      EXPECT_EQ((*zero)[i].slot, expected[i].slot);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, FlatKernelTest,
+                         ::testing::ValuesIn(kRecallSweep));
+// A dimension that is not a multiple of the kernel's 8 lanes exercises the
+// scalar tail of every metric.
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, HnswRecallTest,
-    ::testing::Values(RecallParams{8, 200, DistanceMetric::kCosine},
-                      RecallParams{16, 500, DistanceMetric::kCosine},
-                      RecallParams{32, 1000, DistanceMetric::kCosine},
-                      RecallParams{16, 500, DistanceMetric::kL2},
-                      RecallParams{16, 500, DistanceMetric::kInnerProduct}));
+    OddDimension, FlatKernelTest,
+    ::testing::Values(RecallParams{13, 300, DistanceMetric::kCosine},
+                      RecallParams{13, 300, DistanceMetric::kL2},
+                      RecallParams{13, 300, DistanceMetric::kInnerProduct}));
 
 }  // namespace
 }  // namespace llmms::vectordb
