@@ -2,7 +2,8 @@
 // "orchestration also introduces overhead"): end-to-end latency of one
 // orchestrated query per strategy, scoring-round cost vs. model count, and
 // the exact scan under every generation start (the synthetic models'
-// knowledge-base lookup) so that kernel is tracked on its own.
+// knowledge-base lookup) and the whole substrate start of one query, so both
+// are tracked on their own.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include "llmms/core/oua.h"
 #include "llmms/core/scoring.h"
 #include "llmms/core/single.h"
+#include "llmms/rag/prompt_builder.h"
 #include "llmms/vectordb/flat_index.h"
 
 namespace {
@@ -57,6 +59,52 @@ void BM_KnowledgeLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KnowledgeLookup);
+
+// The substrate's share of one query: the three default-profile models
+// starting on one history-wrapped prompt, one after another on one thread,
+// the way ModelRuntime::StartGeneration starts a pool. Same paper-scale
+// knowledge base and embedding cache as BM_KnowledgeLookup; prompts cycle
+// over the 300 questions, each inside three earlier turns of a session.
+void BM_StartGeneration(benchmark::State& state) {
+  struct Substrate {
+    std::vector<std::shared_ptr<llm::SyntheticModel>> models;
+    std::vector<std::string> prompts;
+  };
+  static auto* substrate = [] {
+    auto embedder = std::make_shared<embedding::EmbeddingCache>(
+        std::make_shared<embedding::HashEmbedder>(), /*capacity=*/4096);
+    auto knowledge = std::make_shared<llm::KnowledgeBase>(embedder);
+    const auto dataset = eval::GenerateDataset(eval::DatasetOptions{});
+    if (!knowledge->AddAll(dataset).ok()) std::abort();
+    auto* s = new Substrate;
+    for (const auto& profile : llm::DefaultProfiles()) {
+      s->models.push_back(
+          std::make_shared<llm::SyntheticModel>(profile, knowledge));
+    }
+    const rag::PromptBuilder builder;
+    const size_t n = dataset.size();
+    for (size_t i = 0; i < n; ++i) {
+      std::string history;
+      for (size_t back = 3; back >= 1; --back) {
+        const auto& earlier = dataset[(i + n - back) % n];
+        if (!history.empty()) history += "\n";
+        history +=
+            "user: " + earlier.question + "\nassistant: " + earlier.golden;
+      }
+      s->prompts.push_back(builder.Build(dataset[i].question, {}, history));
+    }
+    return s;
+  }();
+  llm::GenerationRequest request;
+  size_t i = 0;
+  for (auto _ : state) {
+    request.prompt = substrate->prompts[i++ % substrate->prompts.size()];
+    for (const auto& model : substrate->models) {
+      benchmark::DoNotOptimize(model->StartGeneration(request));
+    }
+  }
+}
+BENCHMARK(BM_StartGeneration);
 
 // Raw FlatIndex cosine top-10 over N random 64-d rows.
 void BM_FlatSearch(benchmark::State& state) {

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "llmms/common/rng.h"
-#include "llmms/common/string_util.h"
-#include "llmms/tokenizer/word_tokenizer.h"
 
 namespace llmms::llm {
 namespace {
@@ -57,36 +54,9 @@ const std::vector<std::string>& UnknownWords() {
   return *kWords;
 }
 
-std::vector<std::string> ContentWords(std::string_view text) {
-  static const tokenizer::WordTokenizer::Options kOpts{
-      .lowercase = true,
-      .strip_punctuation = true,
-      .remove_articles = true,
-      .remove_stopwords = true,
-  };
-  static const tokenizer::WordTokenizer kTokenizer(kOpts);
-  return kTokenizer.Tokenize(text);
-}
-
-std::vector<std::string> AllWords(std::string_view text) {
-  static const tokenizer::WordTokenizer kTokenizer;
-  return kTokenizer.Tokenize(text);
-}
-
 void AppendPhrase(const std::vector<std::string>& phrase,
                   std::vector<std::string>* out) {
   out->insert(out->end(), phrase.begin(), phrase.end());
-}
-
-// Fraction of `reference`'s content words that appear in `words`.
-double ContentOverlap(const std::unordered_set<std::string>& words,
-                      const std::vector<std::string>& reference) {
-  if (reference.empty()) return 0.0;
-  size_t found = 0;
-  for (const auto& w : reference) {
-    if (words.count(w) > 0) ++found;
-  }
-  return static_cast<double>(found) / static_cast<double>(reference.size());
 }
 
 // The stream over a pre-planned word sequence.
@@ -160,16 +130,44 @@ SyntheticModel::SyntheticModel(ModelProfile profile,
                                std::shared_ptr<const KnowledgeBase> knowledge)
     : profile_(std::move(profile)), knowledge_(std::move(knowledge)) {}
 
+std::shared_ptr<const KnowledgeBase::Resolution> SyntheticModel::Resolve(
+    const std::string& prompt) const {
+  if (knowledge_ != nullptr) return knowledge_->Resolve(prompt);
+  auto unmatched = std::make_shared<KnowledgeBase::Resolution>();
+  unmatched->prompt_hash = HashBytes(prompt.data(), prompt.size());
+  return unmatched;
+}
+
+Rng SyntheticModel::PlanRng(const KnowledgeBase::Resolution& resolution,
+                            uint64_t request_seed) const {
+  return Rng(profile_.seed ^ resolution.prompt_hash ^
+             MixHash64(request_seed + 1));
+}
+
+SyntheticModel::StancePreview SyntheticModel::DrawStance(
+    const KnowledgeBase::Resolution& resolution, Rng* rng) const {
+  // Effective competence: per-domain skill, jitter, and RAG uplift when the
+  // prompt carries grounded context overlapping the golden answer beyond
+  // what the bare question provides.
+  double competence = profile_.CompetenceFor(resolution.item->domain);
+  competence += rng->Normal(0.0, 0.05);
+  if (resolution.grounded) {
+    competence = std::max(competence, profile_.rag_uplift);
+  }
+  StancePreview stance;
+  stance.has_knowledge = true;
+  stance.effective_competence = std::clamp(competence, 0.02, 0.98);
+  stance.correct = rng->Bernoulli(stance.effective_competence);
+  return stance;
+}
+
 SyntheticModel::Plan SyntheticModel::BuildPlan(
     const GenerationRequest& request) const {
-  Rng rng(profile_.seed ^
-          HashBytes(request.prompt.data(), request.prompt.size()) ^
-          MixHash64(request.seed + 1));
+  const auto resolution = Resolve(request.prompt);
+  Rng rng = PlanRng(*resolution, request.seed);
 
   Plan plan;
-  const QaItem* item =
-      knowledge_ ? knowledge_->Lookup(request.prompt) : nullptr;
-
+  const QaItem* item = resolution->item;
   if (item == nullptr) {
     // The model has no knowledge of this topic: hedge.
     AppendPhrase(UnknownWords(), &plan.words);
@@ -184,46 +182,22 @@ SyntheticModel::Plan SyntheticModel::BuildPlan(
     return plan;
   }
 
-  // Effective competence: per-domain skill, jitter, and RAG uplift when the
-  // prompt carries grounded context overlapping the golden answer beyond
-  // what the bare question provides.
-  double competence = profile_.CompetenceFor(item->domain);
-  competence += rng.Normal(0.0, 0.05);
+  const StancePreview stance = DrawStance(*resolution, &rng);
+  const double competence = stance.effective_competence;
+  const bool correct_stance = stance.correct;
 
-  const auto prompt_words_vec = ContentWords(request.prompt);
-  const std::unordered_set<std::string> prompt_words(prompt_words_vec.begin(),
-                                                     prompt_words_vec.end());
-  const auto question_words_vec = ContentWords(item->question);
-  const std::unordered_set<std::string> question_words(
-      question_words_vec.begin(), question_words_vec.end());
-  const auto golden_words = ContentWords(item->golden);
-  std::vector<std::string> golden_only;
-  for (const auto& w : golden_words) {
-    if (question_words.count(w) == 0) golden_only.push_back(w);
-  }
-  if (!golden_only.empty() &&
-      ContentOverlap(prompt_words, golden_only) >= 0.5) {
-    competence = std::max(competence, profile_.rag_uplift);
-  }
-  competence = std::clamp(competence, 0.02, 0.98);
-
-  const bool correct_stance = rng.Bernoulli(competence);
-
-  // Choose the answer text.
-  std::string answer_text;
+  // Choose the answer.
+  const KnowledgeBase::ResolvedAnswer* answer = &resolution->golden;
   if (correct_stance) {
     if (!item->correct.empty() && rng.Bernoulli(0.4)) {
-      answer_text = item->correct[static_cast<size_t>(rng.UniformInt(
+      answer = &resolution->correct[static_cast<size_t>(rng.UniformInt(
           0, static_cast<int64_t>(item->correct.size()) - 1))];
-    } else {
-      answer_text = item->golden;
     }
   } else if (!item->incorrect.empty()) {
-    answer_text = item->incorrect[static_cast<size_t>(rng.UniformInt(
+    answer = &resolution->incorrect[static_cast<size_t>(rng.UniformInt(
         0, static_cast<int64_t>(item->incorrect.size()) - 1))];
-  } else {
-    answer_text = item->golden;  // degenerate item: nothing wrong to say
   }
+  // (A degenerate item with no wrong answers says the golden either way.)
 
   // Preamble (hedging) scaled by verbosity. Verbose models burn a
   // meaningful number of tokens before their answer appears — the situation
@@ -246,30 +220,20 @@ SyntheticModel::Plan SyntheticModel::BuildPlan(
       rng.UniformInt(0, static_cast<int64_t>(templates.size()) - 1))];
   for (const auto& word : tmpl) {
     if (word == "%A") {
-      for (const auto& w : AllWords(answer_text)) plan.words.push_back(w);
+      AppendPhrase(answer->words, &plan.words);
     } else {
       plan.words.push_back(word);
     }
   }
 
   // Elaboration: verbosity-scaled sentences mixing topic, answer, filler,
-  // and distractor vocabulary.
-  std::vector<std::string> topic_pool = question_words_vec;
-  // The discriminative part of the answer: its content words that the
-  // question does not already contain. Repeating these is what creates
-  // inter-model agreement among same-stance models (and divergence across
-  // stances) at the embedding level.
-  std::vector<std::string> answer_pool;
-  for (const auto& w : ContentWords(answer_text)) {
-    if (question_words.count(w) == 0) answer_pool.push_back(w);
-  }
-  if (answer_pool.empty()) answer_pool = ContentWords(answer_text);
-  std::vector<std::string> distractor_pool;
-  for (const auto& wrong : item->incorrect) {
-    for (const auto& w : ContentWords(wrong)) {
-      if (question_words.count(w) == 0) distractor_pool.push_back(w);
-    }
-  }
+  // and distractor vocabulary. The answer pool is the discriminative part of
+  // the answer: repeating it is what creates inter-model agreement among
+  // same-stance models (and divergence across stances) at the embedding
+  // level.
+  const auto& topic_pool = resolution->question_words;
+  const auto& answer_pool = answer->pool;
+  const auto& distractor_pool = resolution->distractor_pool;
   const auto& filler_pool = FillerWords();
 
   const int num_sentences = static_cast<int>(
@@ -326,35 +290,10 @@ StatusOr<std::unique_ptr<GenerationStream>> SyntheticModel::StartGeneration(
 
 SyntheticModel::StancePreview SyntheticModel::PreviewStance(
     const std::string& prompt, uint64_t request_seed) const {
-  // Replays the stance portion of BuildPlan with the identical RNG sequence.
-  StancePreview preview;
-  Rng rng(profile_.seed ^ HashBytes(prompt.data(), prompt.size()) ^
-          MixHash64(request_seed + 1));
-  const QaItem* item = knowledge_ ? knowledge_->Lookup(prompt) : nullptr;
-  if (item == nullptr) return preview;
-  preview.has_knowledge = true;
-
-  double competence = profile_.CompetenceFor(item->domain);
-  competence += rng.Normal(0.0, 0.05);
-
-  const auto prompt_words_vec = ContentWords(prompt);
-  const std::unordered_set<std::string> prompt_words(prompt_words_vec.begin(),
-                                                     prompt_words_vec.end());
-  const auto question_words_vec = ContentWords(item->question);
-  const std::unordered_set<std::string> question_words(
-      question_words_vec.begin(), question_words_vec.end());
-  std::vector<std::string> golden_only;
-  for (const auto& w : ContentWords(item->golden)) {
-    if (question_words.count(w) == 0) golden_only.push_back(w);
-  }
-  if (!golden_only.empty() &&
-      ContentOverlap(prompt_words, golden_only) >= 0.5) {
-    competence = std::max(competence, profile_.rag_uplift);
-  }
-  competence = std::clamp(competence, 0.02, 0.98);
-  preview.effective_competence = competence;
-  preview.correct = rng.Bernoulli(competence);
-  return preview;
+  const auto resolution = Resolve(prompt);
+  if (resolution->item == nullptr) return StancePreview{};
+  Rng rng = PlanRng(*resolution, request_seed);
+  return DrawStance(*resolution, &rng);
 }
 
 }  // namespace llmms::llm

@@ -9,6 +9,10 @@
 #include "llmms/llm/model.h"
 #include "llmms/llm/model_profile.h"
 
+namespace llmms {
+class Rng;
+}  // namespace llmms
+
 namespace llmms::llm {
 
 // A statistical stand-in for a quantized 7-8B chat model.
@@ -58,6 +62,20 @@ class SyntheticModel final : public LanguageModel {
     std::vector<std::string> words;
     StopReason natural_end = StopReason::kStop;
   };
+
+  // The first draws of every plan on a matched prompt: competence jitter,
+  // then the stance. BuildPlan goes on drawing from `rng`; PreviewStance
+  // stops here, so the preview cannot drift from the plan.
+  StancePreview DrawStance(const KnowledgeBase::Resolution& resolution,
+                           Rng* rng) const;
+
+  // The plan RNG, deterministic in (profile seed, prompt, request seed).
+  Rng PlanRng(const KnowledgeBase::Resolution& resolution,
+              uint64_t request_seed) const;
+
+  // knowledge_->Resolve(prompt), or an unmatched resolution without a base.
+  std::shared_ptr<const KnowledgeBase::Resolution> Resolve(
+      const std::string& prompt) const;
 
   Plan BuildPlan(const GenerationRequest& request) const;
 

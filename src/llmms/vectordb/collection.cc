@@ -245,7 +245,8 @@ bool Collection::quantized() const {
 
 size_t Collection::approx_vector_bytes() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  size_t bytes = id_to_slot_.size() * options_.dimension * sizeof(float);
+  // Every live vector is held twice: in its record and in the index.
+  size_t bytes = 2 * id_to_slot_.size() * options_.dimension * sizeof(float);
   if (qindex_ != nullptr) bytes += qindex_->code_bytes();
   return bytes;
 }

@@ -111,7 +111,8 @@ class Collection final : public CollectionBase {
   uint64_t query_count() const {
     return queries_.load(std::memory_order_relaxed);
   }
-  // Bytes held by stored vectors plus quantized codes (health gauge).
+  // Bytes held by stored vectors (the record's copy and the index's) plus
+  // quantized codes (health gauge).
   size_t approx_vector_bytes() const;
   // Runtime knob for recall/QPS sweeps; ignored while unquantized.
   void set_quantization_overfetch(size_t overfetch);

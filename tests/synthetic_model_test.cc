@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "llmms/common/rng.h"
 #include "llmms/core/scoring.h"
 #include "llmms/embedding/hash_embedder.h"
 #include "llmms/eval/qa_dataset.h"
-#include "llmms/rag/prompt_builder.h"
+#include "llmms/tokenizer/word_tokenizer.h"
 #include "llmms/vectordb/distance.h"
 #include "testutil.h"
 
@@ -241,38 +242,112 @@ TEST(KnowledgeBaseTest, LookupMatchesDistanceReferenceOnPaperDataset) {
     return &knowledge.items()[best];
   };
 
-  const rag::PromptBuilder builder;
-  const size_t n = dataset.size();
+  const auto prompts = testutil::PaperPrompts(dataset);
   size_t resolved = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const auto& item = dataset[i];
-    // Three earlier turns of a session, as Session::ContextText renders them.
-    std::string history;
-    for (size_t back = 3; back >= 1; --back) {
-      const auto& earlier = dataset[(i + n - back) % n];
-      if (!history.empty()) history += "\n";
-      history += "user: " + earlier.question + "\nassistant: " + earlier.golden;
-    }
-    // Retrieved context: the item's own answer among two others.
-    std::vector<rag::RetrievedChunk> context(3);
-    context[0].text = dataset[(i + 1) % n].golden;
-    context[1].text = item.golden;
-    context[2].text = dataset[(i + 7) % n].golden;
-
-    const std::string prompts[] = {
-        item.question,
-        builder.Build(item.question, {}, history),
-        builder.Build(item.question, context, history),
-    };
-    for (const auto& prompt : prompts) {
-      const QaItem* expected = reference(prompt);
-      EXPECT_EQ(knowledge.Lookup(prompt), expected)
-          << "item " << item.id << " prompt: " << prompt;
-      resolved += expected != nullptr ? 1 : 0;
-    }
+  for (size_t p = 0; p < prompts.size(); ++p) {
+    const QaItem* expected = reference(prompts[p]);
+    EXPECT_EQ(knowledge.Lookup(prompts[p]), expected)
+        << "item " << dataset[p / 3].id << " prompt: " << prompts[p];
+    resolved += expected != nullptr ? 1 : 0;
   }
   // The pin is only meaningful if the prompts actually resolve.
-  EXPECT_GT(resolved, 2 * n);
+  EXPECT_GT(resolved, 2 * dataset.size());
+}
+
+// True if `text` holds the tokenised `answer` as a whole-word run.
+bool ContainsAnswer(const std::string& text, const std::string& answer) {
+  static const tokenizer::WordTokenizer kTokenizer;
+  std::string run;
+  for (const auto& w : kTokenizer.Tokenize(answer)) {
+    if (!run.empty()) run += ' ';
+    run += w;
+  }
+  if (run.empty()) return false;
+  const std::string padded = " " + text + " ";
+  return padded.find(" " + run + " ") != std::string::npos;
+}
+
+// Pins every plan the default pool builds on the paper-scale dataset: the
+// three prompt shapes x the three default profiles x two request seeds, each
+// generation streamed in uneven chunks and folded into one digest. The
+// digest was recorded before the knowledge base memoised prompt resolution,
+// so any change to a plan's words, its RNG draw order or its stop reason
+// shows up here. PreviewStance must also name the stance each plan took: a
+// correct stance streams the golden or an acceptable answer, a wrong one a
+// misconception.
+TEST(SyntheticPlanIdentityTest, PaperDatasetPlansArePinned) {
+  constexpr uint64_t kExpectedDigest = 0x21c2d2919b02cad5ULL;
+
+  auto embedder = std::make_shared<embedding::HashEmbedder>();
+  const auto dataset = eval::GenerateDataset(eval::DatasetOptions{});
+  ASSERT_EQ(dataset.size(), 300u);
+  auto knowledge = std::make_shared<KnowledgeBase>(embedder);
+  ASSERT_TRUE(knowledge->AddAll(dataset).ok());
+  std::vector<std::shared_ptr<SyntheticModel>> models;
+  for (const auto& profile : DefaultProfiles()) {
+    models.push_back(std::make_shared<SyntheticModel>(profile, knowledge));
+  }
+  const auto prompts = testutil::PaperPrompts(dataset);
+
+  uint64_t digest = 0;
+  size_t generations = 0;
+  size_t knowing = 0;
+  for (size_t p = 0; p < prompts.size(); ++p) {
+    for (const uint64_t seed : {uint64_t{0}, uint64_t{7}}) {
+      // Round-robin over the pool per prompt, the way the runtime starts
+      // one query's models.
+      for (const auto& model : models) {
+        GenerationRequest request;
+        request.prompt = prompts[p];
+        request.seed = seed;
+        auto stream = model->StartGeneration(request);
+        ASSERT_TRUE(stream.ok());
+        std::string text;
+        size_t chunk_size = 1;
+        while (!(*stream)->finished()) {
+          auto chunk = (*stream)->NextChunk(chunk_size);
+          ASSERT_TRUE(chunk.ok());
+          if (!chunk->text.empty()) {
+            if (!text.empty()) text += ' ';
+            text += chunk->text;
+          }
+          chunk_size = chunk_size % 5 + 1;
+        }
+        ASSERT_EQ(text, (*stream)->text());
+        const uint64_t tokens = (*stream)->tokens_generated();
+        const auto stop = static_cast<uint8_t>((*stream)->stop_reason());
+        digest = HashBytes(text.data(), text.size(), digest);
+        digest = HashBytes(&tokens, sizeof(tokens), digest);
+        digest = HashBytes(&stop, sizeof(stop), digest);
+        ++generations;
+
+        const auto preview = model->PreviewStance(prompts[p], seed);
+        const QaItem* item = knowledge->Lookup(prompts[p]);
+        ASSERT_EQ(preview.has_knowledge, item != nullptr) << prompts[p];
+        if (item == nullptr) continue;
+        ++knowing;
+        bool took_correct = ContainsAnswer(text, item->golden);
+        for (const auto& ok : item->correct) {
+          took_correct = took_correct || ContainsAnswer(text, ok);
+        }
+        bool took_wrong = item->incorrect.empty();
+        for (const auto& wrong : item->incorrect) {
+          took_wrong = took_wrong || ContainsAnswer(text, wrong);
+        }
+        if (preview.correct) {
+          EXPECT_TRUE(took_correct) << model->name() << " seed " << seed
+                                    << " prompt: " << prompts[p];
+        } else {
+          EXPECT_TRUE(took_wrong) << model->name() << " seed " << seed
+                                  << " prompt: " << prompts[p];
+        }
+      }
+    }
+  }
+  EXPECT_EQ(generations, prompts.size() * 2 * models.size());
+  EXPECT_GT(knowing, generations / 2);
+  EXPECT_EQ(digest, kExpectedDigest)
+      << "plan digest 0x" << std::hex << digest;
 }
 
 TEST_F(SyntheticModelTest, StopReasonStringMapping) {

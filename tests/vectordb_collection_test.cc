@@ -131,6 +131,38 @@ TEST(CollectionTest, IdsListsLiveRecords) {
   EXPECT_EQ(ids[0], "b");
 }
 
+// Each live vector is stored by its record and by the index; the gauge
+// counts both copies, plus one int8 code per dimension once quantized.
+TEST(CollectionTest, VectorBytesCountsRecordAndIndexCopies) {
+  for (const auto kind : {IndexKind::kFlat, IndexKind::kHnsw}) {
+    Collection c("test", SmallOptions(kind));
+    const size_t per_copy = 4 * sizeof(float);
+    EXPECT_EQ(c.approx_vector_bytes(), 0u);
+    ASSERT_TRUE(c.Upsert(MakeRecord("a", {1, 0, 0, 0})).ok());
+    ASSERT_TRUE(c.Upsert(MakeRecord("b", {0, 1, 0, 0})).ok());
+    ASSERT_TRUE(c.Upsert(MakeRecord("c", {0, 0, 1, 0})).ok());
+    EXPECT_EQ(c.approx_vector_bytes(), 3 * 2 * per_copy);
+    ASSERT_TRUE(c.Upsert(MakeRecord("a", {0, 0, 0, 1})).ok());
+    EXPECT_EQ(c.approx_vector_bytes(), 3 * 2 * per_copy);
+    ASSERT_TRUE(c.Delete("b").ok());
+    EXPECT_EQ(c.approx_vector_bytes(), 2 * 2 * per_copy);
+  }
+
+  Collection::Options opts = SmallOptions();
+  opts.quantization.enabled = true;
+  opts.quantization.train_size = 4;
+  Collection q("quantized", opts);
+  for (int i = 0; i < 4; ++i) {
+    const float x = static_cast<float>(i);
+    ASSERT_TRUE(
+        q.Upsert(MakeRecord(std::string("r").append(std::to_string(i)),
+                            {x, 1, -x, 0.5f}))
+            .ok());
+  }
+  ASSERT_TRUE(q.quantized());
+  EXPECT_EQ(q.approx_vector_bytes(), 4 * 2 * 4 * sizeof(float) + 4 * 4);
+}
+
 TEST(VectorDatabaseTest, CreateGetDropCollections) {
   VectorDatabase db;
   ASSERT_TRUE(db.CreateCollection("one", SmallOptions()).ok());
