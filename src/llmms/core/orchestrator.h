@@ -88,8 +88,25 @@ struct OrchestrationResult {
   std::vector<TraceEntry> trace;
 };
 
+// The settings every policy reads. Each policy's Config derives from it, so
+// a caller fills them once whichever policy it builds.
+struct OrchestratorConfig {
+  ScoringWeights weights;      // alpha=0.7, beta=0.3 (Algorithm 1)
+  size_t token_budget = 2048;  // lambda_max (§6.3), shared by the pool
+  // Deadline/cancellation of the request driving this run (null =
+  // unbounded). Checked at every round boundary and by the runtime before
+  // every chunk; an expired or cancelled request unwinds with the typed
+  // DeadlineExceeded / Cancelled status (DESIGN.md §12).
+  std::shared_ptr<RequestContext> context;
+  // Explicit continuous-batching weight for this query's streams
+  // (DESIGN.md §13); <= 0 lets the scheduler derive it from token_budget
+  // and deadline slack. Ignored when the runtime has no BatchScheduler.
+  double scheduler_weight = 0.0;
+};
+
 // A model-selection / token-allocation strategy over a pool of models.
-// Implementations: OuaOrchestrator, MabOrchestrator, SingleModelOrchestrator.
+// Implementations: OuaOrchestrator, MabOrchestrator, HybridOrchestrator,
+// SingleModelOrchestrator; each drives one internal::RunState per query.
 class Orchestrator {
  public:
   virtual ~Orchestrator() = default;
@@ -106,33 +123,39 @@ class Orchestrator {
   virtual std::string name() const = 0;
 };
 
+// What every policy holds: the runtime it draws streams from, its pool, a
+// scorer with the configured weights, and its Config (which derives from
+// OrchestratorConfig). `runtime` must outlive the orchestrator; `models`
+// must all be loaded.
+template <typename PolicyConfig>
+class PolicyOrchestrator : public Orchestrator {
+ public:
+  using Config = PolicyConfig;
+
+  PolicyOrchestrator(llm::ModelRuntime* runtime,
+                     std::vector<std::string> models,
+                     std::shared_ptr<const embedding::Embedder> embedder,
+                     const Config& config)
+      : runtime_(runtime),
+        models_(std::move(models)),
+        scorer_(std::move(embedder), config.weights),
+        config_(config) {}
+
+  const Config& config() const { return config_; }
+
+ protected:
+  llm::ModelRuntime* runtime_;
+  std::vector<std::string> models_;
+  ResponseScorer scorer_;
+  Config config_;
+};
+
 namespace internal {
 
 // Shared helper: emit an event to the callback (if any) and mirror it into
 // the trace.
 void Emit(const OrchestratorEvent& event, const EventCallback& callback,
           std::vector<TraceEntry>* trace);
-
-// Emits the kFailure event recording a model's quarantine; the trace entry
-// carries the stream error as its detail.
-void EmitFailure(const std::string& model, const Status& error, size_t round,
-                 size_t total_tokens, const EventCallback& callback,
-                 std::vector<TraceEntry>* trace);
-
-// Emits the kHedge event for a chunk whose Chunk::hedge says a hedge race
-// or failover fired while it was in flight; the trace detail carries the
-// outcome ("primary-won", "backup-won", "failover"). No-op for plain
-// chunks.
-void EmitHedge(const std::string& model, const llm::Chunk& chunk,
-               size_t round, size_t total_tokens,
-               const EventCallback& callback,
-               std::vector<TraceEntry>* trace);
-
-// The typed terminal error for a query where every pool model failed. Keeps
-// the last stream error for diagnosis; orchestrators return it instead of
-// fabricating an answer from a failed model.
-Status AllModelsFailed(const std::string& orchestrator, size_t pool_size,
-                       const Status& last_error);
 
 }  // namespace internal
 }  // namespace llmms::core

@@ -3,17 +3,10 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
+
+#include "llmms/core/run_state.h"
 
 namespace llmms::core {
-
-OuaOrchestrator::OuaOrchestrator(
-    llm::ModelRuntime* runtime, std::vector<std::string> models,
-    std::shared_ptr<const embedding::Embedder> embedder, const Config& config)
-    : runtime_(runtime),
-      models_(std::move(models)),
-      scorer_(std::move(embedder), config.weights),
-      config_(config) {}
 
 StatusOr<OrchestrationResult> OuaOrchestrator::Run(
     const std::string& prompt, const EventCallback& callback) {
@@ -23,42 +16,22 @@ StatusOr<OrchestrationResult> OuaOrchestrator::Run(
   if (config_.token_budget == 0) {
     return Status::InvalidArgument("token_budget must be positive");
   }
+  internal::RunState state(name(), models_, prompt, config_, scorer_, callback,
+                           internal::RunState::TokenClock::kGenerated);
+  LLMMS_RETURN_NOT_OK(state.Start(runtime_));
 
-  llm::GenerationRequest request;
-  request.prompt = prompt;
-  request.max_tokens = 0;  // the orchestrator enforces budgets itself
-  request.context = config_.context;
-  request.token_budget = config_.token_budget;
-  request.scheduler_weight = config_.scheduler_weight;
-  LLMMS_ASSIGN_OR_RETURN(auto generation,
-                         runtime_->StartGeneration(models_, request));
-
-  OrchestrationResult result;
-  const size_t n = models_.size();
   std::unordered_map<std::string, size_t> allowance;
   std::unordered_map<std::string, size_t> spent;
   for (const auto& m : models_) {
-    allowance[m] = config_.token_budget / n;  // lambda = lambda_max / N
+    allowance[m] = config_.token_budget / models_.size();  // lambda_max / N
     spent[m] = 0;
   }
-
-  // `active`: still generating. `candidates`: eligible to win (everything
-  // not pruned or failed, including models that finished naturally).
+  // `active`: still generating. Every model not pruned or failed stays a
+  // candidate to win, including models that finished naturally.
   std::vector<std::string> active = models_;
-  std::unordered_set<std::string> pruned;
-  std::unordered_set<std::string> failed;
-  std::unordered_map<std::string, Status> failure_reasons;
-  std::unordered_map<std::string, RoundScore> last_scores;
-
-  size_t round = 0;
-  std::string early_winner;
-
-  // Quarantine: mark the model failed, record the failure, drop it from the
-  // active set, and hand its unspent allowance to the survivors (the same
-  // reallocation pruning performs — a dead model must not strand budget).
-  auto quarantine = [&](const std::string& model, const Status& error) {
-    failed.insert(model);
-    failure_reasons[model] = error;
+  // A pruned or failed model leaves the active set and its unspent
+  // allowance goes to the survivors: a dead model must not strand budget.
+  auto retire = [&](const std::string& model) {
     const size_t leftover =
         allowance[model] > spent[model] ? allowance[model] - spent[model] : 0;
     active.erase(std::remove(active.begin(), active.end(), model),
@@ -67,25 +40,14 @@ StatusOr<OrchestrationResult> OuaOrchestrator::Run(
       const size_t share = leftover / active.size();
       for (const auto& m : active) allowance[m] += share;
     }
-    internal::EmitFailure(model, error, round, generation->TotalTokens(),
-                          callback, &result.trace);
   };
-
-  // Models that refused to start join the run pre-failed.
   for (const auto& m : models_) {
-    LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(m));
-    if (stats.failed) quarantine(m, Status::Internal(stats.error));
+    if (state.failed(m)) retire(m);  // refused to start
   }
 
-  size_t stalled_rounds = 0;  // rounds with zero progress across the pool
-
-  while (!active.empty() && early_winner.empty()) {
-    // An expired or cancelled request ends the query with the typed status
-    // before any more tokens are bought on its behalf.
-    if (config_.context != nullptr) {
-      LLMMS_RETURN_NOT_OK(config_.context->Check());
-    }
-    ++round;
+  std::string early_winner;
+  while (!active.empty()) {
+    LLMMS_RETURN_NOT_OK(state.BeginRound());
 
     // --- Round-robin chunk generation (Algorithm 1 lines 5-9). ---
     std::vector<std::pair<std::string, size_t>> requests;
@@ -95,62 +57,18 @@ StatusOr<OrchestrationResult> OuaOrchestrator::Run(
       requests.emplace_back(m, std::min(config_.chunk_tokens, remaining));
     }
     if (requests.empty()) break;  // every active model exhausted its budget
-    LLMMS_ASSIGN_OR_RETURN(auto batch, generation->NextChunks(requests));
-    for (const auto& [model, error] : batch.errors) quarantine(model, error);
-    size_t round_tokens = 0;
+    LLMMS_ASSIGN_OR_RETURN(auto batch, state.PullRound(requests));
+    for (const auto& [model, error] : batch.errors) retire(model);
     for (const auto& [model, chunk] : batch.chunks) {
       spent[model] += chunk.num_tokens;
-      round_tokens += chunk.num_tokens;
-      internal::EmitHedge(model, chunk, round, generation->TotalTokens(),
-                          callback, &result.trace);
-      if (chunk.num_tokens > 0 && callback) {
-        OrchestratorEvent event;
-        event.type = EventType::kChunk;
-        event.model = model;
-        event.text = chunk.text;
-        event.round = round;
-        event.total_tokens = generation->TotalTokens();
-        internal::Emit(event, callback, &result.trace);
-      }
     }
-    // Anti-hang guard: a pool of stalled (but not erroring) backends makes
-    // no progress; after enough empty rounds treat them as exhausted
-    // rather than spinning forever.
-    if (round_tokens == 0) {
-      if (++stalled_rounds >= kMaxStalledRounds) break;
-    } else {
-      stalled_rounds = 0;
-    }
+    if (state.stalled()) break;
 
     // --- Scoring (Algorithm 1 lines 10-15). ---
-    std::vector<std::string> candidates;
-    for (const auto& m : models_) {
-      if (pruned.count(m) == 0 && failed.count(m) == 0) {
-        candidates.push_back(m);
-      }
-    }
+    const std::vector<std::string> candidates = state.Survivors();
     if (candidates.empty()) break;  // everyone failed: handled below
-    std::vector<std::string> responses;
-    responses.reserve(candidates.size());
-    for (const auto& m : candidates) {
-      LLMMS_ASSIGN_OR_RETURN(auto text, generation->TextOf(m));
-      responses.push_back(std::move(text));
-    }
-    const auto scores = scorer_.ScoreRound(prompt, responses);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      last_scores[candidates[i]] = scores[i];
-      OrchestratorEvent event;
-      event.type = EventType::kScore;
-      event.model = candidates[i];
-      event.score = scores[i].combined;
-      event.round = round;
-      event.total_tokens = generation->TotalTokens();
-      internal::Emit(event, callback, &result.trace);
-      internal::PublishReward(config_.reward_feed, candidates[i],
-                              scores[i].combined, round,
-                              generation->TotalTokens(), callback,
-                              &result.trace);
-    }
+    LLMMS_ASSIGN_OR_RETURN(const auto scores,
+                           state.ScoreRound(candidates, config_.reward_feed));
 
     // --- Early stop (Algorithm 1 lines 16-19): the best candidate wins now
     // when it leads by the margin and finished with done reason "stop". ---
@@ -168,143 +86,50 @@ StatusOr<OrchestrationResult> OuaOrchestrator::Run(
     }
     if (candidates.size() > 1 &&
         best_score > second_best + config_.early_stop_margin) {
-      LLMMS_ASSIGN_OR_RETURN(auto stats,
-                             generation->StatsOf(candidates[best_index]));
+      LLMMS_ASSIGN_OR_RETURN(
+          auto stats, state.generation().StatsOf(candidates[best_index]));
       if (stats.finished && stats.stop_reason == llm::StopReason::kStop) {
         early_winner = candidates[best_index];
-        OrchestratorEvent event;
-        event.type = EventType::kEarlyStop;
-        event.model = early_winner;
-        event.score = best_score;
-        event.round = round;
-        event.total_tokens = generation->TotalTokens();
-        internal::Emit(event, callback, &result.trace);
+        state.EarlyStop(early_winner, best_score);
         break;
       }
     }
 
-    // --- Pruning (Algorithm 1 lines 20-23): drop the round's worst active
-    // model when the second-worst leads it by the margin; its unspent
-    // allowance goes to the survivors. ---
-    if (active.size() > 1 && round >= config_.min_rounds_before_prune) {
-      std::string worst;
-      double worst_score = std::numeric_limits<double>::infinity();
-      double second_worst = std::numeric_limits<double>::infinity();
-      for (const auto& m : active) {
-        const double s = last_scores[m].combined;
-        if (s < worst_score) {
-          second_worst = worst_score;
-          worst_score = s;
-          worst = m;
-        } else if (s < second_worst) {
-          second_worst = s;
-        }
-      }
-      if (!worst.empty() && second_worst - worst_score > config_.prune_margin) {
-        pruned.insert(worst);
-        const size_t leftover = allowance[worst] - spent[worst];
-        active.erase(std::remove(active.begin(), active.end(), worst),
-                     active.end());
-        if (!active.empty() && leftover > 0) {
-          const size_t share = leftover / active.size();
-          for (const auto& m : active) allowance[m] += share;
-        }
-        OrchestratorEvent event;
-        event.type = EventType::kPrune;
-        event.model = worst;
-        event.score = worst_score;
-        event.round = round;
-        event.total_tokens = generation->TotalTokens();
-        internal::Emit(event, callback, &result.trace);
-      }
+    // --- Pruning (Algorithm 1 lines 20-23). ---
+    if (active.size() > 1 && state.round() >= config_.min_rounds_before_prune) {
+      const std::string worst = state.PruneWorst(active, config_.prune_margin);
+      if (!worst.empty()) retire(worst);
     }
 
     // --- Retire models that finished naturally or exhausted their budget;
     // they stay candidates but stop consuming tokens. ---
     std::vector<std::string> still_active;
     for (const auto& m : active) {
-      LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(m));
-      const bool exhausted = spent[m] >= allowance[m];
-      if (!stats.finished && !exhausted) still_active.push_back(m);
+      LLMMS_ASSIGN_OR_RETURN(auto stats, state.generation().StatsOf(m));
+      if (!stats.finished && spent[m] < allowance[m]) still_active.push_back(m);
     }
     active = std::move(still_active);
   }
 
-  // --- Final selection (Algorithm 1 line 25). Failed models can never
-  // win; when the whole pool failed the query fails with a typed error. ---
-  if (failed.size() == models_.size()) {
-    Status last = Status::Internal("unknown failure");
-    for (const auto& m : models_) {
-      auto it = failure_reasons.find(m);
-      if (it != failure_reasons.end()) last = it->second;
-    }
-    return internal::AllModelsFailed(name(), models_.size(), last);
+  // --- Final selection (Algorithm 1 line 25): the highest last-round score
+  // among candidates. Failed models can never win; when the whole pool
+  // failed the query fails with the pool's last model's error. ---
+  if (state.AllFailed()) {
+    return state.AllModelsFailed(state.failure(models_.back()));
   }
   std::string winner = early_winner;
   if (winner.empty()) {
-    double best = -std::numeric_limits<double>::infinity();
-    for (const auto& m : models_) {
-      if (pruned.count(m) > 0 || failed.count(m) > 0) continue;
-      auto it = last_scores.find(m);
-      const double s =
-          it != last_scores.end()
-              ? it->second.combined
-              : -std::numeric_limits<double>::infinity();
-      if (s > best) {
-        best = s;
-        winner = m;
-      }
-    }
-    if (winner.empty()) {
-      // All survivors pruned: degenerate, fall back to any healthy model.
-      for (const auto& m : models_) {
-        if (failed.count(m) == 0) {
-          winner = m;
-          break;
-        }
-      }
-    }
+    // Pruned models are out; when every survivor is, any healthy model.
+    winner = state.Best(state.Survivors(), [&](const std::string& m) {
+      return state.last_combined(m, -std::numeric_limits<double>::infinity());
+    }).first;
   }
-
-  result.best_model = winner;
-  LLMMS_ASSIGN_OR_RETURN(result.answer, generation->TextOf(winner));
-  result.total_tokens = generation->TotalTokens();
-  result.rounds = round;
-  result.early_stopped = !early_winner.empty();
-  result.simulated_seconds = generation->SimulatedWallSeconds();
-
+  std::vector<RoundScore> scores;
   for (const auto& m : models_) {
-    ModelOutcome outcome;
-    LLMMS_ASSIGN_OR_RETURN(outcome.response, generation->TextOf(m));
-    LLMMS_ASSIGN_OR_RETURN(auto stats, generation->StatsOf(m));
-    outcome.tokens = stats.tokens;
-    outcome.finished = stats.finished;
-    outcome.stop_reason = stats.stop_reason;
-    outcome.pruned = pruned.count(m) > 0;
-    outcome.failed = failed.count(m) > 0;
-    auto fail_it = failure_reasons.find(m);
-    if (fail_it != failure_reasons.end()) {
-      outcome.error = fail_it->second.message();
-    }
-    auto it = last_scores.find(m);
-    if (it != last_scores.end()) {
-      outcome.final_score = it->second.combined;
-      outcome.query_similarity = it->second.query_similarity;
-      outcome.inter_similarity = it->second.inter_similarity;
-    }
-    result.per_model[m] = std::move(outcome);
+    const RoundScore* score = state.last_score(m);
+    scores.push_back(score != nullptr ? *score : RoundScore());
   }
-  result.answer_tokens = result.per_model[winner].tokens;
-
-  OrchestratorEvent event;
-  event.type = EventType::kFinal;
-  event.model = winner;
-  event.text = result.answer;
-  event.score = result.per_model[winner].final_score;
-  event.round = round;
-  event.total_tokens = result.total_tokens;
-  internal::Emit(event, callback, &result.trace);
-  return result;
+  return state.Finish(winner, state.last_combined(winner, 0.0), scores);
 }
 
 }  // namespace llmms::core

@@ -5,44 +5,32 @@
 #include <string>
 
 #include "llmms/core/orchestrator.h"
-#include "llmms/core/scoring.h"
-#include "llmms/llm/runtime.h"
 
 namespace llmms::core {
+
+// Settings of SingleModelOrchestrator.
+struct SingleModelConfig : OrchestratorConfig {
+  size_t chunk_tokens = 32;  // streaming granularity for events
+};
 
 // The static single-model baseline (§8.1 execution mode 1): every query goes
 // to one fixed model, bounded by the same token budget the orchestrators
 // get. Scores are still computed (query similarity only; there are no other
 // models to agree with) so results are comparable.
-class SingleModelOrchestrator final : public Orchestrator {
+class SingleModelOrchestrator final
+    : public PolicyOrchestrator<SingleModelConfig> {
  public:
-  struct Config {
-    ScoringWeights weights;
-    size_t token_budget = 2048;
-    size_t chunk_tokens = 32;  // streaming granularity for events
-    // Deadline/cancellation of the request driving this run (null =
-    // unbounded); checked at every chunk boundary (DESIGN.md §12).
-    std::shared_ptr<RequestContext> context;
-    // Explicit continuous-batching weight (DESIGN.md §13); <= 0 derives it
-    // from token_budget and deadline slack. Ignored without a scheduler.
-    double scheduler_weight = 0.0;
-  };
-
   SingleModelOrchestrator(llm::ModelRuntime* runtime, std::string model,
                           std::shared_ptr<const embedding::Embedder> embedder,
-                          const Config& config);
+                          const Config& config)
+      : PolicyOrchestrator(runtime, {std::move(model)}, std::move(embedder),
+                           config) {}
 
   StatusOr<OrchestrationResult> Run(const std::string& prompt,
                                     const EventCallback& callback) override;
   using Orchestrator::Run;
 
-  std::string name() const override { return "single:" + model_; }
-
- private:
-  llm::ModelRuntime* runtime_;
-  std::string model_;
-  ResponseScorer scorer_;
-  Config config_;
+  std::string name() const override { return "single:" + models_[0]; }
 };
 
 }  // namespace llmms::core

@@ -230,28 +230,23 @@ StatusOr<CellWorld> BuildCellWorld(const MatrixConfig& config,
 std::unique_ptr<core::Orchestrator> BuildOrchestrator(
     const MatrixConfig& config, const CellSpec& spec, CellWorld* world) {
   core::RewardFeed* feed = world->feed.get();
+  core::OrchestratorConfig base;
+  base.weights = config.weights;
+  base.token_budget = spec.token_budget;
   switch (spec.orchestrator) {
-    case MatrixOrchestrator::kSingle: {
-      core::SingleModelOrchestrator::Config single;
-      single.weights = config.weights;
-      single.token_budget = spec.token_budget;
+    case MatrixOrchestrator::kSingle:
       return std::make_unique<core::SingleModelOrchestrator>(
           world->runtime.get(), world->model_names.front(), world->embedder,
-          single);
-    }
+          core::SingleModelOrchestrator::Config{base});
     case MatrixOrchestrator::kOua: {
-      core::OuaOrchestrator::Config oua;
-      oua.weights = config.weights;
-      oua.token_budget = spec.token_budget;
+      core::OuaOrchestrator::Config oua{base};
       oua.chunk_tokens = config.oua_chunk_tokens;
       oua.reward_feed = feed;
       return std::make_unique<core::OuaOrchestrator>(
           world->runtime.get(), world->model_names, world->embedder, oua);
     }
     case MatrixOrchestrator::kMab: {
-      core::MabOrchestrator::Config mab;
-      mab.weights = config.weights;
-      mab.token_budget = spec.token_budget;
+      core::MabOrchestrator::Config mab{base};
       mab.chunk_tokens = config.mab_chunk_tokens;
       mab.gamma0 = config.mab_gamma0;
       mab.reward_feed = feed;
@@ -260,9 +255,7 @@ std::unique_ptr<core::Orchestrator> BuildOrchestrator(
           world->runtime.get(), world->model_names, world->embedder, mab);
     }
     case MatrixOrchestrator::kHybrid: {
-      core::HybridOrchestrator::Config hybrid;
-      hybrid.weights = config.weights;
-      hybrid.token_budget = spec.token_budget;
+      core::HybridOrchestrator::Config hybrid{base};
       hybrid.chunk_tokens = config.oua_chunk_tokens;
       hybrid.mab_chunk_tokens = config.mab_chunk_tokens;
       hybrid.gamma0 = config.mab_gamma0;

@@ -1,5 +1,6 @@
 #include "llmms/llm/knowledge.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "llmms/common/rng.h"
@@ -55,12 +56,17 @@ KnowledgeBase::Resolution BuildResolution(std::string_view prompt,
   // content words (duplicates counted).
   std::vector<std::string> novel;
   r.golden = resolve_answer(item->golden, &novel);
+  // The handful of novel words are looked up in the prompt's words directly:
+  // hashing every prompt word into a set costs more than the scans.
   if (!novel.empty()) {
-    const auto prompt_vec = ContentWords(prompt);
-    const std::unordered_set<std::string> prompt_set(prompt_vec.begin(),
-                                                     prompt_vec.end());
+    const auto prompt_words = ContentWords(prompt);
     size_t found = 0;
-    for (const auto& w : novel) found += prompt_set.count(w);
+    for (const auto& w : novel) {
+      if (std::find(prompt_words.begin(), prompt_words.end(), w) !=
+          prompt_words.end()) {
+        ++found;
+      }
+    }
     r.grounded = 2 * found >= novel.size();
   }
 

@@ -137,6 +137,7 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParams{Strategy::kMab, 64, 4}, SweepParams{Strategy::kMab, 256, 8},
         SweepParams{Strategy::kMab, 2048, 16},
         SweepParams{Strategy::kHybrid, 64, 4},
+        SweepParams{Strategy::kHybrid, 32, 8},
         SweepParams{Strategy::kHybrid, 256, 8},
         SweepParams{Strategy::kHybrid, 2048, 16},
         SweepParams{Strategy::kSingle, 64, 4},
