@@ -15,7 +15,7 @@ namespace {
 
 using namespace llmms;
 
-eval::StrategyAggregate Evaluate(bench::BenchWorld* world,
+eval::StrategyAggregate Evaluate(eval::World* world,
                                  core::Orchestrator* orchestrator,
                                  const std::string& label) {
   std::vector<eval::QuestionMetrics> metrics;

@@ -1,36 +1,15 @@
 #ifndef LLMMS_BENCH_BENCH_COMMON_H_
 #define LLMMS_BENCH_BENCH_COMMON_H_
 
+#include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "llmms/embedding/embedding_cache.h"
-#include "llmms/embedding/hash_embedder.h"
 #include "llmms/eval/harness.h"
-#include "llmms/eval/qa_dataset.h"
-#include "llmms/hardware/placement.h"
-#include "llmms/llm/model_profile.h"
-#include "llmms/llm/registry.h"
-#include "llmms/llm/runtime.h"
-#include "llmms/llm/synthetic_model.h"
+#include "llmms/eval/world.h"
 
 namespace llmms::bench {
-
-// The evaluation platform used by every figure/ablation bench: the three
-// paper models on a simulated Tesla V100, a TruthfulQA-style benchmark, and
-// an embedding cache in front of the scorer (the orchestrators re-embed
-// partial responses every round).
-struct BenchWorld {
-  std::shared_ptr<const embedding::Embedder> embedder;
-  std::shared_ptr<llm::KnowledgeBase> knowledge;
-  std::shared_ptr<llm::ModelRegistry> registry;
-  std::shared_ptr<hardware::HardwareManager> hardware;
-  std::unique_ptr<llm::ModelRuntime> runtime;
-  std::vector<llm::QaItem> dataset;
-  std::vector<std::string> model_names;
-};
 
 // Questions per domain: 50 by default (300 questions, the paper-scale run);
 // override with LLMMS_BENCH_QPD for quick runs.
@@ -43,49 +22,20 @@ inline size_t QuestionsPerDomain() {
   return 50;
 }
 
-inline BenchWorld MakeBenchWorld(size_t questions_per_domain) {
-  BenchWorld world;
-  auto hash_embedder = std::make_shared<embedding::HashEmbedder>();
-  world.embedder = std::make_shared<embedding::EmbeddingCache>(
-      hash_embedder, /*capacity=*/4096);
-
-  eval::DatasetOptions dataset_options;
-  dataset_options.questions_per_domain = questions_per_domain;
-  world.dataset = eval::GenerateDataset(dataset_options);
-
-  auto knowledge = std::make_shared<llm::KnowledgeBase>(world.embedder);
-  if (!knowledge->AddAll(world.dataset).ok()) std::abort();
-  world.knowledge = knowledge;
-
-  world.registry = std::make_shared<llm::ModelRegistry>();
-  for (const auto& profile : llm::DefaultProfiles()) {
-    world.model_names.push_back(profile.name);
-    if (!world.registry
-             ->Register(std::make_shared<llm::SyntheticModel>(profile,
-                                                              knowledge))
-             .ok()) {
-      std::abort();
-    }
-  }
-
-  hardware::DeviceSpec v100;
-  v100.name = "tesla-v100-0";
-  v100.kind = hardware::DeviceKind::kGpu;
-  v100.memory_mb = 32 * 1024;
-  world.hardware = std::make_shared<hardware::HardwareManager>(
-      std::vector<hardware::DeviceSpec>{v100});
-
-  world.runtime = std::make_unique<llm::ModelRuntime>(world.registry,
-                                                      world.hardware, 4);
-  for (const auto& name : world.model_names) {
-    if (!world.runtime->LoadModel(name).ok()) std::abort();
-  }
-  return world;
+// The evaluation platform used by every figure/ablation bench: the three
+// paper models over a TruthfulQA-style benchmark of `questions_per_domain`
+// questions per domain.
+inline eval::World MakeBenchWorld(size_t questions_per_domain) {
+  eval::DatasetOptions options;
+  options.questions_per_domain = questions_per_domain;
+  auto world = eval::BuildWorld(options);
+  if (!world.ok()) std::abort();
+  return std::move(world).value();
 }
 
 // Runs the five execution modes of §8.1 and returns the report.
 inline eval::EvaluationReport RunPaperEvaluation(
-    BenchWorld* world, eval::HarnessConfig config = {}) {
+    eval::World* world, eval::HarnessConfig config = {}) {
   eval::EvaluationHarness harness(world->runtime.get(), world->embedder,
                                   world->model_names, config);
   auto report = harness.Run(world->dataset);

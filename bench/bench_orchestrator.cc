@@ -13,6 +13,9 @@
 #include "llmms/core/oua.h"
 #include "llmms/core/scoring.h"
 #include "llmms/core/single.h"
+#include "llmms/embedding/embedding_cache.h"
+#include "llmms/embedding/hash_embedder.h"
+#include "llmms/llm/synthetic_model.h"
 #include "llmms/rag/prompt_builder.h"
 #include "llmms/vectordb/flat_index.h"
 
@@ -20,8 +23,8 @@ namespace {
 
 using namespace llmms;
 
-bench::BenchWorld& World() {
-  static auto* world = new bench::BenchWorld(bench::MakeBenchWorld(10));
+eval::World& World() {
+  static auto* world = new eval::World(bench::MakeBenchWorld(10));
   return *world;
 }
 

@@ -3,19 +3,12 @@
 
 #include <cstdlib>
 #include <memory>
-#include <string>
-#include <vector>
+#include <utility>
 
 #include "llmms/core/search_engine.h"
-#include "llmms/embedding/embedding_cache.h"
-#include "llmms/embedding/hash_embedder.h"
-#include "llmms/eval/qa_dataset.h"
-#include "llmms/hardware/placement.h"
+#include "llmms/eval/world.h"
 #include "llmms/llm/fault_injection.h"
-#include "llmms/llm/model_profile.h"
-#include "llmms/llm/registry.h"
 #include "llmms/llm/resilient_model.h"
-#include "llmms/llm/runtime.h"
 #include "llmms/llm/synthetic_model.h"
 #include "llmms/session/session_store.h"
 #include "llmms/vectordb/database.h"
@@ -25,72 +18,42 @@ namespace llmms::examples {
 // Everything an example needs: the three default models loaded on a
 // simulated GPU, a synthetic world for them to know about, and the LLM-MS
 // search engine wired to a vector database and session store.
-struct Platform {
-  std::shared_ptr<const embedding::Embedder> embedder;
-  std::shared_ptr<llm::KnowledgeBase> knowledge;
-  std::shared_ptr<llm::ModelRegistry> registry;
-  std::shared_ptr<hardware::HardwareManager> hardware;
-  std::unique_ptr<llm::ModelRuntime> runtime;
+struct Platform : eval::World {
   std::shared_ptr<vectordb::VectorDatabase> db;
   std::shared_ptr<session::SessionStore> sessions;
   std::unique_ptr<core::SearchEngine> engine;
-  std::vector<llm::QaItem> dataset;
-  std::vector<std::string> model_names;
 };
 
 inline Platform MakePlatform(size_t questions_per_domain = 12) {
-  Platform p;
-  p.embedder = std::make_shared<embedding::EmbeddingCache>(
-      std::make_shared<embedding::HashEmbedder>(), 4096);
-
-  eval::DatasetOptions dataset_options;
-  dataset_options.questions_per_domain = questions_per_domain;
-  p.dataset = eval::GenerateDataset(dataset_options);
-
-  auto knowledge = std::make_shared<llm::KnowledgeBase>(p.embedder);
-  if (!knowledge->AddAll(p.dataset).ok()) std::abort();
-  p.knowledge = knowledge;
-
-  p.registry = std::make_shared<llm::ModelRegistry>();
   // Every model serves behind the resilience layer (DESIGN.md §8), so
   // /api/health reports a live circuit per model. LLMMS_CHAOS=<prob> also
   // injects that per-call probability of transient chunk errors (seeded) —
   // a quick way to watch retries, quarantine, and a degraded /api/health.
   const char* chaos_env = std::getenv("LLMMS_CHAOS");
   const double chaos_prob = chaos_env != nullptr ? std::atof(chaos_env) : 0.0;
-  size_t model_index = 0;
-  for (const auto& profile : llm::DefaultProfiles()) {
-    p.model_names.push_back(profile.name);
-    std::shared_ptr<llm::LanguageModel> model =
-        std::make_shared<llm::SyntheticModel>(profile, knowledge);
-    if (chaos_prob > 0.0) {
-      llm::FaultConfig faults;
-      faults.chunk_error_prob = chaos_prob;
-      faults.seed += model_index;
-      model = std::make_shared<llm::FaultyModel>(model, faults);
-    }
-    llm::ResilienceConfig resilience;
-    resilience.seed += model_index++;
-    model = std::make_shared<llm::ResilientModel>(model, resilience);
-    if (!p.registry->Register(model).ok()) {
-      std::abort();
-    }
-  }
+  eval::DatasetOptions options;
+  options.questions_per_domain = questions_per_domain;
+  auto world = eval::BuildWorld(
+      options, llm::DefaultProfiles(),
+      [chaos_prob](const llm::ModelProfile& profile, size_t index,
+                   const std::shared_ptr<llm::KnowledgeBase>& knowledge) {
+        std::shared_ptr<llm::LanguageModel> model =
+            std::make_shared<llm::SyntheticModel>(profile, knowledge);
+        if (chaos_prob > 0.0) {
+          llm::FaultConfig faults;
+          faults.chunk_error_prob = chaos_prob;
+          faults.seed += index;
+          model = std::make_shared<llm::FaultyModel>(model, faults);
+        }
+        llm::ResilienceConfig resilience;
+        resilience.seed += index;
+        return std::make_shared<llm::ResilientModel>(model, resilience);
+      });
+  if (!world.ok()) std::abort();
 
-  hardware::DeviceSpec v100;
-  v100.name = "tesla-v100-0";
-  v100.kind = hardware::DeviceKind::kGpu;
-  v100.memory_mb = 32 * 1024;
-  p.hardware = std::make_shared<hardware::HardwareManager>(
-      std::vector<hardware::DeviceSpec>{v100});
-
-  p.runtime = std::make_unique<llm::ModelRuntime>(p.registry, p.hardware, 4);
-  for (const auto& name : p.model_names) {
-    if (!p.runtime->LoadModel(name).ok()) std::abort();
-  }
-
-  p.db = std::make_shared<vectordb::VectorDatabase>();
-  p.sessions = std::make_shared<session::SessionStore>();
+  Platform p{std::move(world).value(),
+             std::make_shared<vectordb::VectorDatabase>(),
+             std::make_shared<session::SessionStore>(), nullptr};
   p.engine = std::make_unique<core::SearchEngine>(p.runtime.get(), p.embedder,
                                                   p.db, p.sessions);
   return p;

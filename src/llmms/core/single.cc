@@ -7,9 +7,9 @@
 namespace llmms::core {
 namespace {
 
-// With a single model there is nobody to fail over to: a stream error is
-// the query's outcome, surfaced as a typed Status naming the model and the
-// round so callers (and the API error payload) can say *what* died and
+// With a single model there is nobody to fail over to: a mid-stream error
+// is the query's outcome, surfaced as a typed Status naming the model and
+// the round so callers (and the API error payload) can say *what* died and
 // *when* — not just bubble a raw stream error.
 Status SingleModelFailure(const std::string& model, const Status& error,
                           size_t round) {
@@ -29,10 +29,9 @@ StatusOr<OrchestrationResult> SingleModelOrchestrator::Run(
   const std::string& model = models_[0];
   internal::RunState state(name(), models_, prompt, config_, scorer_,
                            callback);
+  // A refused start fails the whole runtime call (its "no model could start
+  // generation" error): the pool is this one model.
   LLMMS_RETURN_NOT_OK(state.Start(runtime_));
-  if (state.failed(model)) {
-    return SingleModelFailure(model, state.failure(model), 0);
-  }
 
   for (;;) {
     LLMMS_RETURN_NOT_OK(state.CheckContext());

@@ -11,14 +11,12 @@
 #include "llmms/core/mab.h"
 #include "llmms/core/oua.h"
 #include "llmms/core/single.h"
-#include "llmms/embedding/hash_embedder.h"
 #include "llmms/eval/metrics.h"
 #include "llmms/eval/qa_dataset.h"
-#include "llmms/hardware/placement.h"
+#include "llmms/eval/world.h"
 #include "llmms/llm/fault_injection.h"
 #include "llmms/llm/hedged_model.h"
 #include "llmms/llm/knowledge.h"
-#include "llmms/llm/registry.h"
 #include "llmms/llm/resilient_model.h"
 #include "llmms/llm/runtime.h"
 #include "llmms/llm/synthetic_model.h"
@@ -126,14 +124,7 @@ llm::FaultConfig FaultsFor(MatrixFaults faults, uint64_t seed) {
 
 // One cell's fully wired world. Built fresh per RunCell so cells never
 // share breaker, sketch, or feed state.
-struct CellWorld {
-  std::shared_ptr<const embedding::Embedder> embedder;
-  std::shared_ptr<llm::KnowledgeBase> knowledge;
-  std::shared_ptr<llm::ModelRegistry> registry;
-  std::shared_ptr<hardware::HardwareManager> hardware;
-  std::unique_ptr<llm::ModelRuntime> runtime;
-  std::vector<llm::QaItem> dataset;
-  std::vector<std::string> model_names;
+struct CellWorld : World {
   std::shared_ptr<TokenMeter> meter;
   std::vector<std::shared_ptr<llm::HedgedModel>> hedged;
   std::unique_ptr<core::RewardFeed> feed;  // adaptive cells only
@@ -161,61 +152,38 @@ std::shared_ptr<llm::LanguageModel> BuildReplica(
 
 StatusOr<CellWorld> BuildCellWorld(const MatrixConfig& config,
                                    const CellSpec& spec) {
-  CellWorld world;
-  world.embedder = std::make_shared<embedding::HashEmbedder>();
-  world.meter = std::make_shared<TokenMeter>();
+  auto meter = std::make_shared<TokenMeter>();
+  std::vector<std::shared_ptr<llm::HedgedModel>> hedged;
+  auto make = [&](const llm::ModelProfile& profile, size_t i,
+                  const std::shared_ptr<llm::KnowledgeBase>& knowledge) {
+    const uint64_t model_seed = MixSeed(config.seed, i * 2 + 1);
+    auto primary =
+        BuildReplica(profile, knowledge, meter, spec.faults, model_seed);
+    if (spec.mode != MatrixMode::kAdaptive) return primary;
+    auto backup = BuildReplica(profile, knowledge, meter, spec.faults,
+                               MixSeed(config.seed, i * 2 + 2));
+    llm::HedgeConfig hedge;
+    hedge.percentile = 0.90;
+    hedge.latency_window = 64;
+    hedge.min_samples = 4;
+    hedge.catchup_chunk_tokens = 32;
+    hedge.adapt = true;
+    hedge.min_percentile = 0.50;
+    hedge.max_percentile = 0.95;
+    hedged.push_back(std::make_shared<llm::HedgedModel>(
+        primary, std::vector<std::shared_ptr<llm::LanguageModel>>{backup},
+        hedge));
+    return std::shared_ptr<llm::LanguageModel>(hedged.back());
+  };
 
   DatasetOptions dataset_options;
   dataset_options.questions_per_domain = config.questions_per_domain;
   dataset_options.seed = config.seed;
-  world.dataset = GenerateDataset(dataset_options);
-
-  world.knowledge = std::make_shared<llm::KnowledgeBase>(world.embedder);
-  LLMMS_RETURN_NOT_OK(world.knowledge->AddAll(world.dataset));
-
   auto profiles = llm::DefaultProfiles();
   if (spec.pool == MatrixPool::kDuo) profiles.resize(2);
-
-  world.registry = std::make_shared<llm::ModelRegistry>();
-  for (size_t i = 0; i < profiles.size(); ++i) {
-    const uint64_t model_seed = MixSeed(config.seed, i * 2 + 1);
-    auto primary = BuildReplica(profiles[i], world.knowledge, world.meter,
-                                spec.faults, model_seed);
-    std::shared_ptr<llm::LanguageModel> model = primary;
-    if (spec.mode == MatrixMode::kAdaptive) {
-      auto backup = BuildReplica(profiles[i], world.knowledge, world.meter,
-                                 spec.faults, MixSeed(config.seed, i * 2 + 2));
-      llm::HedgeConfig hedge;
-      hedge.percentile = 0.90;
-      hedge.latency_window = 64;
-      hedge.min_samples = 4;
-      hedge.catchup_chunk_tokens = 32;
-      hedge.adapt = true;
-      hedge.min_percentile = 0.50;
-      hedge.max_percentile = 0.95;
-      auto hedged = std::make_shared<llm::HedgedModel>(
-          primary, std::vector<std::shared_ptr<llm::LanguageModel>>{backup},
-          hedge);
-      world.hedged.push_back(hedged);
-      model = hedged;
-    }
-    world.model_names.push_back(profiles[i].name);
-    LLMMS_RETURN_NOT_OK(world.registry->Register(model));
-  }
-
-  hardware::DeviceSpec gpu;
-  gpu.name = "sim-a100-80g";
-  gpu.kind = hardware::DeviceKind::kGpu;
-  gpu.memory_mb = 80 * 1024;
-  gpu.throughput_factor = 1.0;
-  world.hardware = std::make_shared<hardware::HardwareManager>(
-      std::vector<hardware::DeviceSpec>{gpu});
-
-  world.runtime = std::make_unique<llm::ModelRuntime>(
-      world.registry, world.hardware, /*num_threads=*/4);
-  for (const auto& name : world.model_names) {
-    LLMMS_RETURN_NOT_OK(world.runtime->LoadModel(name));
-  }
+  LLMMS_ASSIGN_OR_RETURN(auto base,
+                         BuildWorld(dataset_options, std::move(profiles), make));
+  CellWorld world{std::move(base), std::move(meter), std::move(hedged), {}};
 
   if (spec.mode == MatrixMode::kBatched) {
     world.runtime->EnableScheduler(llm::SchedulerConfig());
@@ -530,31 +498,9 @@ llm::ModelProfile DriftProfile(const std::string& name, double competence,
   return profile;
 }
 
-struct DriftWorld {
-  std::shared_ptr<const embedding::Embedder> embedder;
-  std::shared_ptr<llm::KnowledgeBase> knowledge;
-  std::shared_ptr<llm::ModelRegistry> registry;
-  std::shared_ptr<hardware::HardwareManager> hardware;
-  std::unique_ptr<llm::ModelRuntime> runtime;
-  std::vector<llm::QaItem> dataset;
-  std::vector<std::string> model_names;
-};
-
-StatusOr<DriftWorld> BuildDriftWorld(const DriftConfig& config) {
-  DriftWorld world;
-  world.embedder = std::make_shared<embedding::HashEmbedder>();
-
-  DatasetOptions dataset_options;
-  dataset_options.questions_per_domain = config.questions_per_domain;
-  dataset_options.seed = config.seed;
-  world.dataset = GenerateDataset(dataset_options);
-
-  world.knowledge = std::make_shared<llm::KnowledgeBase>(world.embedder);
-  LLMMS_RETURN_NOT_OK(world.knowledge->AddAll(world.dataset));
-
-  // Two models whose competence swaps at the switch: alpha is the strong
-  // model of the first half, beta of the second.
-  world.registry = std::make_shared<llm::ModelRegistry>();
+// Two models whose competence swaps at the switch: alpha is the strong
+// model of the first half, beta of the second.
+StatusOr<World> BuildDriftWorld(const DriftConfig& config) {
   const struct {
     const char* name;
     double before;
@@ -564,34 +510,27 @@ StatusOr<DriftWorld> BuildDriftWorld(const DriftConfig& config) {
       {"drift:alpha", 0.95, 0.05, 0xA1FA},
       {"drift:beta", 0.05, 0.95, 0xBE7A},
   };
+  std::vector<llm::ModelProfile> profiles;
   for (const auto& entry : kDriftModels) {
-    auto before = std::make_shared<llm::SyntheticModel>(
-        DriftProfile(entry.name, entry.before, MixSeed(config.seed, entry.salt)),
-        world.knowledge);
-    auto after = std::make_shared<llm::SyntheticModel>(
-        DriftProfile(entry.name, entry.after,
-                     MixSeed(config.seed, entry.salt + 1)),
-        world.knowledge);
-    LLMMS_RETURN_NOT_OK(world.registry->Register(
-        std::make_shared<DriftSwitchModel>(before, after,
-                                           config.switch_after_queries)));
-    world.model_names.push_back(entry.name);
+    profiles.push_back(DriftProfile(entry.name, entry.before,
+                                    MixSeed(config.seed, entry.salt)));
   }
-
-  hardware::DeviceSpec gpu;
-  gpu.name = "sim-a100-80g";
-  gpu.kind = hardware::DeviceKind::kGpu;
-  gpu.memory_mb = 80 * 1024;
-  gpu.throughput_factor = 1.0;
-  world.hardware = std::make_shared<hardware::HardwareManager>(
-      std::vector<hardware::DeviceSpec>{gpu});
-
-  world.runtime = std::make_unique<llm::ModelRuntime>(
-      world.registry, world.hardware, /*num_threads=*/4);
-  for (const auto& name : world.model_names) {
-    LLMMS_RETURN_NOT_OK(world.runtime->LoadModel(name));
-  }
-  return world;
+  DatasetOptions dataset_options;
+  dataset_options.questions_per_domain = config.questions_per_domain;
+  dataset_options.seed = config.seed;
+  return BuildWorld(
+      dataset_options, std::move(profiles),
+      [&](const llm::ModelProfile& profile, size_t i,
+          const std::shared_ptr<llm::KnowledgeBase>& knowledge) {
+        const auto& entry = kDriftModels[i];
+        return std::make_shared<DriftSwitchModel>(
+            std::make_shared<llm::SyntheticModel>(profile, knowledge),
+            std::make_shared<llm::SyntheticModel>(
+                DriftProfile(entry.name, entry.after,
+                             MixSeed(config.seed, entry.salt + 1)),
+                knowledge),
+            config.switch_after_queries);
+      });
 }
 
 StatusOr<DriftOutcome> RunDriftSession(const DriftConfig& config,

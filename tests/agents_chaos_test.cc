@@ -15,6 +15,7 @@
 
 #include "llmms/llm/fault_injection.h"
 #include "llmms/llm/resilient_model.h"
+#include "llmms/llm/synthetic_model.h"
 #include "testutil.h"
 
 namespace llmms::core {
@@ -24,68 +25,41 @@ namespace {
 // `with_resilience`, every model additionally gets the ResilientModel
 // decorator — the production stack. Keeps handles to the FaultyModels so
 // tests can assert the chaos actually fired.
-struct ChaosAgentsWorld {
-  std::shared_ptr<const embedding::Embedder> embedder;
-  std::shared_ptr<llm::KnowledgeBase> knowledge;
-  std::shared_ptr<llm::ModelRegistry> registry;
-  std::shared_ptr<hardware::HardwareManager> hardware;
-  std::unique_ptr<llm::ModelRuntime> runtime;
-  std::vector<llm::QaItem> dataset;
+struct ChaosAgentsWorld : eval::World {
   std::vector<llm::QaItem> composites;
-  std::vector<std::string> model_names;
   std::vector<std::shared_ptr<llm::FaultyModel>> faulty;
 };
 
 ChaosAgentsWorld MakeChaosAgentsWorld(size_t num_faulty,
                                       const llm::FaultConfig& faults,
                                       bool with_resilience = false) {
-  ChaosAgentsWorld world;
-  world.embedder = std::make_shared<embedding::HashEmbedder>();
-
-  eval::DatasetOptions dataset_options;
-  dataset_options.questions_per_domain = 4;
-  world.dataset = eval::GenerateDataset(dataset_options);
-  world.composites = eval::GenerateCompositeDataset(world.dataset, 4);
-
-  auto knowledge = std::make_shared<llm::KnowledgeBase>(world.embedder);
-  if (!knowledge->AddAll(world.dataset).ok()) std::abort();
-  world.knowledge = knowledge;
-
-  world.registry = std::make_shared<llm::ModelRegistry>();
-  const auto profiles = llm::DefaultProfiles();
-  for (size_t i = 0; i < profiles.size(); ++i) {
-    std::shared_ptr<llm::LanguageModel> model =
-        std::make_shared<llm::SyntheticModel>(profiles[i], knowledge);
-    if (i < num_faulty) {
-      llm::FaultConfig fault_config = faults;
-      fault_config.seed += i;
-      auto faulty = std::make_shared<llm::FaultyModel>(model, fault_config);
-      world.faulty.push_back(faulty);
-      model = faulty;
-    }
-    if (with_resilience) {
-      llm::ResilienceConfig resilience;
-      resilience.seed += i;
-      model = std::make_shared<llm::ResilientModel>(model, resilience);
-    }
-    world.model_names.push_back(profiles[i].name);
-    if (!world.registry->Register(model).ok()) std::abort();
-  }
-
-  hardware::DeviceSpec gpu;
-  gpu.name = "chaos-gpu-0";
-  gpu.kind = hardware::DeviceKind::kGpu;
-  gpu.memory_mb = 64 * 1024;
-  gpu.throughput_factor = 1.0;
-  world.hardware = std::make_shared<hardware::HardwareManager>(
-      std::vector<hardware::DeviceSpec>{gpu});
-
-  world.runtime = std::make_unique<llm::ModelRuntime>(
-      world.registry, world.hardware, /*num_threads=*/4);
-  for (const auto& name : world.model_names) {
-    if (!world.runtime->LoadModel(name).ok()) std::abort();
-  }
-  return world;
+  std::vector<std::shared_ptr<llm::FaultyModel>> faulty;
+  eval::DatasetOptions options;
+  options.questions_per_domain = 4;
+  auto world = eval::BuildWorld(
+      options, llm::DefaultProfiles(),
+      [&](const llm::ModelProfile& profile, size_t i,
+          const std::shared_ptr<llm::KnowledgeBase>& knowledge) {
+        std::shared_ptr<llm::LanguageModel> model =
+            std::make_shared<llm::SyntheticModel>(profile, knowledge);
+        if (i < num_faulty) {
+          llm::FaultConfig fault_config = faults;
+          fault_config.seed += i;
+          faulty.push_back(
+              std::make_shared<llm::FaultyModel>(model, fault_config));
+          model = faulty.back();
+        }
+        if (with_resilience) {
+          llm::ResilienceConfig resilience;
+          resilience.seed += i;
+          model = std::make_shared<llm::ResilientModel>(model, resilience);
+        }
+        return model;
+      });
+  if (!world.ok()) std::abort();
+  ChaosAgentsWorld chaos{std::move(world).value(), {}, std::move(faulty)};
+  chaos.composites = eval::GenerateCompositeDataset(chaos.dataset, 4);
+  return chaos;
 }
 
 MultiAgentPipeline MakePipeline(ChaosAgentsWorld* world,

@@ -485,7 +485,7 @@ TEST(BatchSchedulerTest, EightQueriesTwoReplicasFairAndFasterThanUnbatched) {
 
   std::vector<Scripted> scripts(durations.size());
   for (size_t i = 0; i < durations.size(); ++i) {
-    scripts[i].tag = "q" + std::to_string(i) + "-";
+    scripts[i].tag = std::string("q") + std::to_string(i) + "-";
     scripts[i].chunks_total = durations[i];
     BatchScheduler::AdmitOptions options;
     options.model = "m";

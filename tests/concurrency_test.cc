@@ -10,6 +10,7 @@
 #include "llmms/common/rng.h"
 #include "llmms/common/thread_pool.h"
 #include "llmms/embedding/embedding_cache.h"
+#include "llmms/embedding/hash_embedder.h"
 #include "llmms/llm/batch_scheduler.h"
 #include "llmms/vectordb/sharded_collection.h"
 #include "testutil.h"

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <gtest/gtest.h>
@@ -6,6 +7,8 @@
 #include "llmms/eval/metrics.h"
 #include "llmms/eval/qa_dataset.h"
 #include "llmms/eval/report.h"
+#include "llmms/eval/world.h"
+#include "llmms/llm/synthetic_model.h"
 #include "testutil.h"
 
 namespace llmms::eval {
@@ -99,6 +102,46 @@ TEST(QaDatasetTest, LoadRejectsGarbage) {
   EXPECT_FALSE(LoadDatasetJsonl(path).ok());
   EXPECT_FALSE(LoadDatasetJsonl("/nonexistent.jsonl").ok());
   std::remove(path.c_str());
+}
+
+TEST(WorldTest, BuildsPoolInProfileOrderOverItsOwnDataset) {
+  DatasetOptions options;
+  options.questions_per_domain = 2;
+  auto profiles = llm::DefaultProfiles();
+  std::reverse(profiles.begin(), profiles.end());
+  std::vector<size_t> calls;
+  const auto make = [&](const llm::ModelProfile& profile, size_t index,
+                        const std::shared_ptr<llm::KnowledgeBase>& knowledge) {
+    EXPECT_EQ(profile.name, profiles[index].name);
+    calls.push_back(index);
+    return std::make_shared<llm::SyntheticModel>(profile, knowledge);
+  };
+  auto world = BuildWorld(options, profiles, make);
+  ASSERT_TRUE(world.ok()) << world.status().ToString();
+
+  EXPECT_EQ(calls, (std::vector<size_t>{0, 1, 2}));
+  ASSERT_EQ(world->model_names.size(), profiles.size());
+  for (size_t i = 0; i < profiles.size(); ++i) {
+    EXPECT_EQ(world->model_names[i], profiles[i].name);
+    EXPECT_TRUE(world->registry->Contains(profiles[i].name));
+    EXPECT_TRUE(world->runtime->IsLoaded(profiles[i].name));
+  }
+  ASSERT_EQ(world->dataset.size(), 2u * llm::CanonicalDomains().size());
+  for (const auto& item : world->dataset) {
+    const llm::QaItem* found = world->knowledge->Lookup(item.question);
+    ASSERT_NE(found, nullptr) << item.question;
+    EXPECT_EQ(found->id, item.id);
+  }
+
+  auto again = BuildWorld(options, profiles);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->model_names, world->model_names);
+  ASSERT_EQ(again->dataset.size(), world->dataset.size());
+  for (size_t i = 0; i < world->dataset.size(); ++i) {
+    EXPECT_EQ(again->dataset[i].id, world->dataset[i].id);
+    EXPECT_EQ(again->dataset[i].question, world->dataset[i].question);
+    EXPECT_EQ(again->dataset[i].golden, world->dataset[i].golden);
+  }
 }
 
 TEST(MetricsTest, ScoreResponseRewardsTruthfulAnswer) {

@@ -10,6 +10,7 @@
 #include "llmms/core/single.h"
 #include "llmms/llm/fault_injection.h"
 #include "llmms/llm/resilient_model.h"
+#include "llmms/llm/synthetic_model.h"
 #include "testutil.h"
 
 namespace llmms {
@@ -22,14 +23,7 @@ using core::OrchestratorEvent;
 // clones, the first `num_faulty` wrapped in FaultyModel, and every model
 // wrapped in ResilientModel — the full decorator stack the resilience layer
 // is specified against.
-struct ChaosWorld {
-  std::shared_ptr<const embedding::Embedder> embedder;
-  std::shared_ptr<llm::KnowledgeBase> knowledge;
-  std::shared_ptr<llm::ModelRegistry> registry;
-  std::shared_ptr<hardware::HardwareManager> hardware;
-  std::unique_ptr<llm::ModelRuntime> runtime;
-  std::vector<llm::QaItem> dataset;
-  std::vector<std::string> model_names;
+struct ChaosWorld : eval::World {
   std::vector<std::string> faulty_names;
   std::string prompt;
 };
@@ -37,18 +31,6 @@ struct ChaosWorld {
 ChaosWorld MakeChaosWorld(size_t num_faulty, const llm::FaultConfig& faults,
                           llm::ResilienceConfig resilience =
                               llm::ResilienceConfig()) {
-  ChaosWorld world;
-  world.embedder = std::make_shared<embedding::HashEmbedder>();
-
-  eval::DatasetOptions dataset_options;
-  dataset_options.questions_per_domain = 4;
-  world.dataset = eval::GenerateDataset(dataset_options);
-  world.prompt = world.dataset[0].question;
-
-  auto knowledge = std::make_shared<llm::KnowledgeBase>(world.embedder);
-  if (!knowledge->AddAll(world.dataset).ok()) std::abort();
-  world.knowledge = knowledge;
-
   auto profiles = llm::DefaultProfiles();
   auto clone1 = profiles[0];
   clone1.name = "phi3:mini";
@@ -59,36 +41,28 @@ ChaosWorld MakeChaosWorld(size_t num_faulty, const llm::FaultConfig& faults,
   profiles.push_back(clone1);
   profiles.push_back(clone2);
 
-  world.registry = std::make_shared<llm::ModelRegistry>();
-  for (size_t i = 0; i < profiles.size(); ++i) {
-    std::shared_ptr<llm::LanguageModel> model =
-        std::make_shared<llm::SyntheticModel>(profiles[i], knowledge);
-    if (i < num_faulty) {
-      llm::FaultConfig fault_config = faults;
-      fault_config.seed += i;
-      model = std::make_shared<llm::FaultyModel>(model, fault_config);
-      world.faulty_names.push_back(profiles[i].name);
-    }
-    resilience.seed += i;
-    model = std::make_shared<llm::ResilientModel>(model, resilience);
-    world.model_names.push_back(profiles[i].name);
-    if (!world.registry->Register(model).ok()) std::abort();
-  }
-
-  hardware::DeviceSpec a100;
-  a100.name = "a100-0";
-  a100.kind = hardware::DeviceKind::kGpu;
-  a100.memory_mb = 40 * 1024;
-  a100.throughput_factor = 1.0;
-  world.hardware = std::make_shared<hardware::HardwareManager>(
-      std::vector<hardware::DeviceSpec>{a100});
-
-  world.runtime = std::make_unique<llm::ModelRuntime>(
-      world.registry, world.hardware, /*num_threads=*/4);
-  for (const auto& name : world.model_names) {
-    if (!world.runtime->LoadModel(name).ok()) std::abort();
-  }
-  return world;
+  std::vector<std::string> faulty_names;
+  eval::DatasetOptions options;
+  options.questions_per_domain = 4;
+  auto world = eval::BuildWorld(
+      options, profiles,
+      [&](const llm::ModelProfile& profile, size_t i,
+          const std::shared_ptr<llm::KnowledgeBase>& knowledge) {
+        std::shared_ptr<llm::LanguageModel> model =
+            std::make_shared<llm::SyntheticModel>(profile, knowledge);
+        if (i < num_faulty) {
+          llm::FaultConfig fault_config = faults;
+          fault_config.seed += i;
+          model = std::make_shared<llm::FaultyModel>(model, fault_config);
+          faulty_names.push_back(profile.name);
+        }
+        resilience.seed += i;  // cumulative across the pool
+        return std::make_shared<llm::ResilientModel>(model, resilience);
+      });
+  if (!world.ok()) std::abort();
+  ChaosWorld chaos{std::move(world).value(), std::move(faulty_names), {}};
+  chaos.prompt = chaos.dataset[0].question;
+  return chaos;
 }
 
 bool IsFaulty(const ChaosWorld& world, const std::string& model) {
@@ -588,6 +562,25 @@ TEST(ChaosTest, SingleModelFailureIsTypedAndNamesTheRound) {
       << message;
   EXPECT_NE(message.find("round"), std::string::npos) << message;
   EXPECT_EQ(failure_events, 1u);
+}
+
+TEST(ChaosTest, SingleModelRefusedStartSurfacesRuntimeError) {
+  // The pool is one model, so a refused start fails the runtime call itself
+  // before any round: the error is the runtime's, not a per-round one.
+  llm::FaultConfig faults;
+  faults.refuse_start_prob = 1.0;
+  auto world = MakeChaosWorld(/*num_faulty=*/1, faults);
+
+  core::SingleModelOrchestrator::Config config;
+  config.weights = DefaultWeights();
+  core::SingleModelOrchestrator orchestrator(
+      world.runtime.get(), world.faulty_names[0], world.embedder, config);
+  auto result = orchestrator.Run(world.prompt);
+  ASSERT_FALSE(result.ok());
+  const std::string message = result.status().message();
+  EXPECT_NE(message.find("no model could start"), std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("failed in round"), std::string::npos) << message;
 }
 
 TEST(ChaosTest, RetriesChargeSimulatedTimeNotWallClock) {

@@ -1,73 +1,30 @@
 #ifndef LLMMS_TESTS_TESTUTIL_H_
 #define LLMMS_TESTS_TESTUTIL_H_
 
-#include <memory>
+#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "llmms/embedding/hash_embedder.h"
-#include "llmms/eval/qa_dataset.h"
-#include "llmms/hardware/placement.h"
-#include "llmms/llm/knowledge.h"
-#include "llmms/llm/model_profile.h"
-#include "llmms/llm/registry.h"
-#include "llmms/llm/runtime.h"
+#include "llmms/eval/world.h"
 #include "llmms/llm/synthetic_model.h"
 #include "llmms/rag/prompt_builder.h"
 
 namespace llmms::testutil {
 
-// A fully wired miniature platform: embedder, synthetic world, the three
-// default models registered and loaded on a simulated V100. Shared by the
-// orchestrator, engine, and eval tests.
-struct World {
-  std::shared_ptr<const embedding::Embedder> embedder;
-  std::shared_ptr<llm::KnowledgeBase> knowledge;
-  std::shared_ptr<llm::ModelRegistry> registry;
-  std::shared_ptr<hardware::HardwareManager> hardware;
-  std::unique_ptr<llm::ModelRuntime> runtime;
-  std::vector<llm::QaItem> dataset;
-  std::vector<std::string> model_names;
-};
+// A fully wired miniature platform: the three default models registered and
+// loaded over a generated benchmark. Shared by the orchestrator, engine, and
+// eval tests.
+using World = eval::World;
 
 inline World MakeWorld(size_t questions_per_domain = 4,
                        uint64_t seed = 0x7A9E11ULL) {
-  World world;
-  world.embedder = std::make_shared<embedding::HashEmbedder>();
-
-  eval::DatasetOptions dataset_options;
-  dataset_options.questions_per_domain = questions_per_domain;
-  dataset_options.seed = seed;
-  world.dataset = eval::GenerateDataset(dataset_options);
-
-  auto knowledge = std::make_shared<llm::KnowledgeBase>(world.embedder);
-  auto status = knowledge->AddAll(world.dataset);
-  if (!status.ok()) std::abort();
-  world.knowledge = knowledge;
-
-  world.registry = std::make_shared<llm::ModelRegistry>();
-  for (const auto& profile : llm::DefaultProfiles()) {
-    world.model_names.push_back(profile.name);
-    status = world.registry->Register(
-        std::make_shared<llm::SyntheticModel>(profile, knowledge));
-    if (!status.ok()) std::abort();
-  }
-
-  hardware::DeviceSpec v100;
-  v100.name = "tesla-v100-0";
-  v100.kind = hardware::DeviceKind::kGpu;
-  v100.memory_mb = 32 * 1024;
-  v100.throughput_factor = 1.0;
-  world.hardware = std::make_shared<hardware::HardwareManager>(
-      std::vector<hardware::DeviceSpec>{v100});
-
-  world.runtime = std::make_unique<llm::ModelRuntime>(
-      world.registry, world.hardware, /*num_threads=*/4);
-  for (const auto& name : world.model_names) {
-    status = world.runtime->LoadModel(name);
-    if (!status.ok()) std::abort();
-  }
-  return world;
+  eval::DatasetOptions options;
+  options.questions_per_domain = questions_per_domain;
+  options.seed = seed;
+  auto world = eval::BuildWorld(options);
+  if (!world.ok()) std::abort();
+  return std::move(world).value();
 }
 
 // The three prompt shapes the engine sends, for every item of `dataset`:
